@@ -20,7 +20,7 @@ optimality properties the certificates and property tests check.
 
 All decisions happen at fixed epochs via
 :class:`~repro.core.epoch.EpochDrivenMultiSession`, so the policy runs
-unmodified on the scalar, fast-path, and vectorized engine loops.
+unmodified on the engine's scalar step and its bulk commits.
 """
 
 from __future__ import annotations

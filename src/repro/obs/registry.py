@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 import threading
 
+import numpy as np
+
 
 def bucket_percentile(
     buckets: dict, count: int, q: float, maximum: float | None = None
@@ -94,14 +96,46 @@ class Gauge:
         self.updates += 1
 
 
+def _fold_total(
+    total: float, values: np.ndarray, heads: np.ndarray, runs: np.ndarray
+) -> float:
+    """``total`` plus every element of ``values``, added left to right.
+
+    ``heads``/``runs`` are ``values`` run-length encoded.  When the prior
+    total and every nonzero term are non-negative multiples of one power
+    of two ``g`` and the sum stays below ``2**52 * g``, every partial sum
+    is exact, so any exact summation — one product per run — equals the
+    sequential one.  Otherwise the nonzero values are folded with
+    ``np.add.accumulate`` (an exact zero leaves a running total unchanged,
+    and the total is never -0.0).
+    """
+    terms = heads[heads != 0.0]
+    if not terms.size:
+        return total
+    if total >= 0.0 and terms.min() > 0.0:
+        grid_terms = np.append(terms, total) if total else terms
+        mantissa, exponent = np.frexp(grid_terms)
+        digits = (mantissa * 2.0**53).astype(np.int64)
+        lowest_bit = np.frexp((digits & -digits).astype(float))[1] - 1
+        grid = int((exponent - 53 + lowest_bit).min())
+        exact = total + float(np.dot(heads, runs))
+        if exact < math.ldexp(1.0, 52 + grid):
+            return exact
+    nonzero = values[values != 0.0]
+    fold = np.empty(nonzero.size + 1)
+    fold[0] = total
+    fold[1:] = nonzero
+    return float(np.add.accumulate(fold, out=fold)[-1])
+
+
 class Histogram:
     """A value distribution with power-of-two buckets.
 
     ``observe(v)`` files ``v`` under the smallest power of two that is at
     least ``v`` (non-positive values land in bucket ``0``), and keeps the
-    count/sum/min/max needed for means and ranges.  Time-series use: call
-    ``observe`` once per slot with the sampled quantity (queue depth,
-    allocation) and the buckets describe how the run spent its time.
+    count/sum/min/max needed for means and ranges.  Time-series use:
+    ``observe_array`` a run's per-slot series (queue depth, allocation)
+    and the buckets describe how the run spent its time.
     """
 
     __slots__ = ("name", "count", "total", "min", "max", "buckets")
@@ -121,8 +155,54 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        bucket = 2.0 ** math.ceil(math.log2(value)) if value > 0.0 else 0.0
+        if value > 0.0:
+            # value = m * 2**e with m in [0.5, 1): a power of two iff
+            # m == 0.5.  (A rounded ``2 ** ceil(log2(v))`` misfiles
+            # values a few ulps above a power into the bucket below.)
+            mantissa, exponent = math.frexp(value)
+            bucket = math.ldexp(1.0, exponent - 1 if mantissa == 0.5 else exponent)
+        else:
+            bucket = 0.0
         self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
+
+    def observe_array(self, values: np.ndarray) -> None:
+        """``observe`` every element of ``values`` in order, in bulk.
+
+        Bit-identical to the per-element fold: ``total`` is the sequential
+        left-to-right sum from its prior value (see :func:`_fold_total`),
+        and min/max keep the first extreme seen.  Work is per run of equal
+        values where it can be: per-slot series hold long constant
+        stretches.
+        """
+        values = np.asarray(values, dtype=float)
+        n = values.size
+        if not n:
+            return
+        starts = np.flatnonzero(values[1:] != values[:-1]) + 1
+        runs = np.diff(starts, prepend=0, append=n)
+        heads = values[np.concatenate(([0], starts))]
+        self.count += n
+        self.total = _fold_total(self.total, values, heads, runs)
+        low = float(values[values.argmin()])
+        if low < self.min:
+            self.min = low
+        high = float(values[values.argmax()])
+        if high > self.max:
+            self.max = high
+        buckets = self.buckets
+        positive = heads > 0.0
+        if not positive.all():
+            buckets[0.0] = buckets.get(0.0, 0) + int(runs[~positive].sum())
+            heads, runs = heads[positive], runs[positive]
+        if heads.size:
+            # Bucket exponents as in observe, counted per run.
+            mantissa, exponent = np.frexp(heads)
+            exponent = exponent - (mantissa == 0.5)
+            lowest = int(exponent.min())
+            hits = np.bincount(exponent - lowest, weights=runs)
+            for offset in np.flatnonzero(hits).tolist():
+                bound = math.ldexp(1.0, lowest + offset)
+                buckets[bound] = buckets.get(bound, 0) + int(hits[offset])
 
     @property
     def mean(self) -> float:
@@ -192,6 +272,9 @@ class _NullHistogram:
     def observe(self, value: float) -> None:
         pass
 
+    def observe_array(self, values) -> None:
+        pass
+
     def percentile(self, q: float) -> float:
         return 0.0
 
@@ -215,9 +298,11 @@ class MetricsRegistry:
       per-bytecode atomicity.  Individual reads may therefore observe a
       value mid-update-sequence (e.g. a gauge's ``value`` before its
       ``max``), but never a torn float.
-    * :meth:`snapshot` and :meth:`merge_snapshot` serialize against each
-      other on an internal lock, so a concurrent scrape never observes a
-      half-merged worker shard.  :meth:`snapshot` additionally iterates
+    * :meth:`snapshot`, :meth:`merge_snapshot`, :meth:`stage_snapshot`
+      and :meth:`fold_snapshots` serialize against each other on an
+      internal lock, so a concurrent scrape never observes a half-merged
+      worker shard; staged shards are included in every snapshot until
+      they are folded.  :meth:`snapshot` additionally iterates
       over atomic ``list()`` copies of the instrument dicts, so a hot
       loop creating a new instrument (or histogram bucket) mid-snapshot
       cannot raise ``RuntimeError``; the :class:`~repro.obs.series.Sampler`
@@ -231,6 +316,9 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._merge_lock = threading.Lock()
+        #: Shard snapshots shown to :meth:`snapshot` readers but not yet
+        #: folded in (see :meth:`stage_snapshot`).
+        self._staged: list[dict] = []
 
     def counter(self, name: str) -> Counter:
         instrument = self._counters.get(name)
@@ -263,27 +351,36 @@ class MetricsRegistry:
         mutation via atomic ``list()`` copies.
         """
         with self._merge_lock:
-            return {
-                "counters": {
-                    name: counter.value
-                    for name, counter in sorted(list(self._counters.items()))
-                },
-                "gauges": {
-                    name: {
-                        "value": g.value,
-                        "min": g.min if g.updates else 0.0,
-                        "max": g.max if g.updates else 0.0,
-                        "updates": g.updates,
-                    }
-                    for name, g in sorted(list(self._gauges.items()))
-                },
-                "histograms": {
-                    name: histogram.as_dict()
-                    for name, histogram in sorted(
-                        list(self._histograms.items())
-                    )
-                },
-            }
+            if not self._staged:
+                return self._snapshot_locked()
+            view = MetricsRegistry()
+            view._merge_locked(self._snapshot_locked())
+            for staged in self._staged:
+                view._merge_locked(staged)
+            return view._snapshot_locked()
+
+    def _snapshot_locked(self) -> dict:
+        return {
+            "counters": {
+                name: counter.value
+                for name, counter in sorted(list(self._counters.items()))
+            },
+            "gauges": {
+                name: {
+                    "value": g.value,
+                    "min": g.min if g.updates else 0.0,
+                    "max": g.max if g.updates else 0.0,
+                    "updates": g.updates,
+                }
+                for name, g in sorted(list(self._gauges.items()))
+            },
+            "histograms": {
+                name: histogram.as_dict()
+                for name, histogram in sorted(
+                    list(self._histograms.items())
+                )
+            },
+        }
 
     def merge_snapshot(self, snapshot: dict) -> None:
         """Fold another registry's :meth:`snapshot` into this one.
@@ -296,11 +393,9 @@ class MetricsRegistry:
 
         Holds the registry lock for the whole fold, so a concurrent
         :meth:`snapshot` (e.g. a live ``GET /metrics`` scrape) sees each
-        worker shard either fully merged or not at all.  Counters,
-        histogram fields, and gauge min/max/updates are commutative
-        across shards; only a gauge's last ``value`` is order-dependent —
-        :meth:`refold_gauge_values` restores determinism for those after
-        an out-of-order (completion-time) merge pass.
+        worker shard either fully merged or not at all.  Fold order
+        matters for float sums and a gauge's last ``value``, so callers
+        fold shards in a fixed (submission) order.
         """
         if not isinstance(snapshot, dict):
             return
@@ -348,30 +443,27 @@ class MetricsRegistry:
             except (TypeError, ValueError):
                 continue
 
-    def refold_gauge_values(self, snapshot: dict) -> None:
-        """Re-assert the gauge last-values a snapshot carries — only those.
+    def stage_snapshot(self, snapshot: dict) -> None:
+        """Show a worker shard to :meth:`snapshot` readers at once.
 
-        The batch runner merges worker snapshots live, in completion
-        order, so a mid-run scrape sees them immediately.  That is safe
-        for every commutative field, but a gauge's last ``value`` then
-        depends on completion order.  Calling this once per snapshot in
-        submission (seq) order after the batch finishes re-sets exactly
-        those values — no counter/histogram/min/max/updates changes, so
-        nothing is double-counted — and the final registry state is
-        byte-identical to the old end-only submission-order merge.
+        The batch runner stages each shard as it completes, so a live
+        scrape (``--serve``) sees counters move mid-sweep, and folds them
+        all with :meth:`fold_snapshots` once the sweep ends.  Staged
+        shards never touch the instruments themselves: float sums then
+        depend only on the final fold order, not on completion order.
         """
         if not isinstance(snapshot, dict):
             return
         with self._merge_lock:
-            for name, raw in (snapshot.get("gauges") or {}).items():
-                if not isinstance(raw, dict):
-                    continue
-                try:
-                    if int(raw.get("updates", 0)) <= 0:
-                        continue
-                    self.gauge(name).value = float(raw.get("value", 0.0))
-                except (TypeError, ValueError):
-                    continue
+            self._staged.append(snapshot)
+
+    def fold_snapshots(self, snapshots: list[dict]) -> None:
+        """Drop every staged shard and fold ``snapshots`` in the given order."""
+        with self._merge_lock:
+            self._staged.clear()
+            for snapshot in snapshots:
+                if isinstance(snapshot, dict):
+                    self._merge_locked(snapshot)
 
 
 class NullRegistry:
@@ -397,7 +489,10 @@ class NullRegistry:
     def merge_snapshot(self, snapshot: dict) -> None:
         pass
 
-    def refold_gauge_values(self, snapshot: dict) -> None:
+    def stage_snapshot(self, snapshot: dict) -> None:
+        pass
+
+    def fold_snapshots(self, snapshots: list[dict]) -> None:
         pass
 
 

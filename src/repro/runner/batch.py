@@ -32,17 +32,22 @@ aborting the rest of the batch.
 
 Workers inherit the parent's cache directory and telemetry enablement via
 explicit arguments (not inherited globals — the pool may spawn).  When
-telemetry is on, each worker returns its registry snapshot and the parent
-folds them into its own registry with
-:meth:`~repro.obs.registry.MetricsRegistry.merge_snapshot`.  Every worker
-return carries a sha256 digest of its true payload, verified by the
-parent before the payload is merged or cached.
+telemetry is on, every job — inline or pooled — records into its own
+fresh registry and returns its snapshot; the parent folds the job
+snapshots into its own registry in submission order, so the final
+registry is identical for every ``jobs`` value and completion order.
+Pooled shards are also staged as they complete
+(:meth:`~repro.obs.registry.MetricsRegistry.stage_snapshot`) so a live
+scrape sees them mid-sweep.  Every worker return carries a sha256 digest
+of its true payload, verified by the parent before the payload is merged
+or cached.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -50,7 +55,13 @@ from repro.errors import ExperimentError
 from repro.experiments import registry
 from repro.experiments.common import ExperimentResult
 from repro.obs.progress import HEARTBEAT_SECONDS, ProgressTracker
-from repro.obs.runtime import Telemetry, count as obs_count, get_telemetry, set_telemetry
+from repro.obs.runtime import (
+    Telemetry,
+    count as obs_count,
+    get_telemetry,
+    set_telemetry,
+    telemetry_session,
+)
 from repro.runner.cache import ContentCache, get_cache, payload_digest, use_cache
 from repro.runner.resilience import (
     DEFAULT_POLICY,
@@ -124,7 +135,9 @@ def _shard_key(experiment_id: str, point, index: int, seed: int, scale: float) -
 
 def _worker_setup(cache_root: str | None, telemetry: bool) -> None:
     use_cache(cache_root)
-    if telemetry and not get_telemetry().enabled:
+    if telemetry:
+        # A fresh registry per job: a worker process runs many jobs, and
+        # its snapshot must carry only this one.
         set_telemetry(Telemetry(enabled=True))
 
 
@@ -331,7 +344,7 @@ def run_session_batch(
     The session-level sibling of :func:`run_batch`: where ``run_batch``
     fans out registry *experiments*, this fans one ``(n_sessions, T)``
     arrival matrix out into ``n_sessions`` independent engine runs, each
-    on the vectorized fast path when the policy supports it (see
+    bulk-committing quiet slices when the policy supports it (see
     :func:`repro.sim.vector.run_batched`, to which this delegates).
 
     Args:
@@ -360,6 +373,25 @@ def run_session_batch(
 
 def _fmt_error(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
+
+
+@contextmanager
+def _job_telemetry():
+    """Run an inline job against its own fresh registry.
+
+    Yields the job's :class:`Telemetry` (None when telemetry is off).
+    Spans and profiles still land in the parent's tracer and profile
+    list; only the metrics are kept apart, to be folded like a worker's.
+    """
+    parent = get_telemetry()
+    if not parent.enabled:
+        yield None
+        return
+    job = Telemetry(enabled=True)
+    job.tracer = parent.tracer
+    job.profiles = parent.profiles
+    with telemetry_session(job):
+        yield job
 
 
 def _run_inline(
@@ -403,9 +435,10 @@ def _run_inline(
         attempt = 0
         while True:
             try:
-                if chaos is not None:
-                    chaos.inflict(experiment_id, attempt, in_worker=False)
-                result = registry.run(experiment_id, seed=seed, scale=scale)
+                with _job_telemetry() as job_telemetry:
+                    if chaos is not None:
+                        chaos.inflict(experiment_id, attempt, in_worker=False)
+                    result = registry.run(experiment_id, seed=seed, scale=scale)
             except Exception as exc:
                 attempt += 1
                 if attempt >= policy.max_attempts:
@@ -438,6 +471,10 @@ def _run_inline(
                 time.sleep(policy.backoff(attempt))
             else:
                 computed[experiment_id] = result
+                if job_telemetry is not None:
+                    get_telemetry().registry.merge_snapshot(
+                        job_telemetry.registry.snapshot()
+                    )
                 if log is not None:
                     _guarded(log.record, key, result.as_dict())
                 if tracker is not None:
@@ -553,39 +590,34 @@ def _run_pool(
         if cache is not None and job.kind == "point":
             _guarded(cache.store_json, "shards", job.key, payload)
 
-    # Fold worker telemetry into the parent registry *as shards
-    # complete*, so a live scrape (``--serve``) sees counters move
-    # mid-sweep.  Completion order is safe for every commutative field
-    # (counters add, histogram buckets add, gauge ranges widen); only a
-    # gauge's last value is order-dependent, which the refold pass below
-    # re-asserts in submission order once the sweep is done.
+    # Stage worker telemetry as shards complete, so a live scrape
+    # (``--serve``) sees counters move mid-sweep; fold it for good in
+    # submission (seq) order once the sweep ends, so float sums and
+    # gauge last-values never depend on completion order.
     parent_registry = get_telemetry().registry
+    snapshots: dict[int, dict] = {}
 
     def on_snapshot(job: Job, snapshot: dict | None) -> None:
         if snapshot is not None:
-            parent_registry.merge_snapshot(snapshot)
+            snapshots[job.seq] = snapshot
+            parent_registry.stage_snapshot(snapshot)
             report.worker_snapshots += 1
 
-    results, failed, stats = run_resilient(
-        work, submit, policy, max_workers=jobs,
-        tracker=tracker, on_success=on_success, on_snapshot=on_snapshot,
-    )
+    try:
+        results, failed, stats = run_resilient(
+            work, submit, policy, max_workers=jobs,
+            tracker=tracker, on_success=on_success, on_snapshot=on_snapshot,
+        )
+    finally:
+        parent_registry.fold_snapshots(
+            [snapshots[seq] for seq in sorted(snapshots)]
+        )
     report.failed.extend(failed)
     report.retries += stats.retries
     report.timeouts += stats.timeouts
     report.crashes += stats.crashes
     report.corrupt_payloads += stats.corrupt_payloads
     report.pool_rebuilds += stats.pool_rebuilds
-
-    # Deterministic gauge refold in submission (seq) order: the final
-    # registry state is byte-identical to the old end-only merge.
-    for job in work:
-        hit = results.get(job.key)
-        if hit is None:
-            continue
-        _, snapshot = hit
-        if snapshot is not None:
-            parent_registry.refold_gauge_values(snapshot)
 
     def payload_for(key: str) -> dict | None:
         if key in reused:

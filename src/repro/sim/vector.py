@@ -1,8 +1,8 @@
-"""Event-sliced vectorized engine core and the incremental run API.
+"""The engine: incremental run API and event-sliced vectorized core.
 
-The scalar engine loops (:mod:`repro.sim.engine`) pay Python interpreter
-overhead for every slot even though the paper's policies change their
-allocation only O(log B_A) times per stage.  Between allocation events the
+A per-slot scalar step pays Python interpreter overhead for every slot
+even though the paper's policies change their allocation only
+O(log B_A) times per stage.  Between allocation events the
 slot dynamics are trivial: with an empty queue and per-slot arrivals at or
 below the constant allocation, every slot delivers its own arrivals with
 delay zero and the queue stays empty.  This module exploits that:
@@ -11,8 +11,9 @@ delay zero and the queue stays empty.  This module exploits that:
   the queue/policy/recorder triple and exposes ``step(n_slots)`` so
   callers can advance a simulation in bounded increments (streaming
   ingestion via :meth:`feed`, bounded-memory aggregation via
-  ``collect="summary"``).  ``run_single_session`` is a thin wrapper over
-  it for the fast and vectorized paths.
+  ``collect="summary"``).  Its scalar step applies fault plans and
+  calls invariant monitors; ``run_single_session`` is a thin wrapper
+  over it.
 * The **vectorized fast-forward**: while the session is *quiet* (empty
   queue, arrivals ≤ allocation, and the policy guaranteed not to act) the
   engine bulk-commits whole arrival slices with a handful of numpy calls
@@ -21,13 +22,14 @@ delay zero and the queue stays empty.  This module exploits that:
   <repro.core.stagekernel.StageKernel.scan>`, whose accumulates are
   bitwise-identical to the scalar per-slot updates; the first *event*
   slot (stage end, ladder rung, backlog onset) is always re-run through
-  the ordinary scalar step, so traces are bit-identical to the scalar
-  loops by construction.
+  the ordinary scalar step, so traces are bit-identical to an all-scalar
+  run (``vector=False``) by construction.  Fault plans and monitors need
+  every slot stepped, so they turn bulk commits off; telemetry does not.
 * :func:`run_batched` — advance many independent sessions over one
   validated ``(n, T)`` arrival matrix, each on the vectorized path.
 * :class:`MultiEngineState` — the incremental multi-session twin: it
-  owns the policy/recorder pair behind ``run_multi_session``'s fast
-  path, exposes the same ``step(n_slots)`` slicing contract, and
+  owns the policy/recorder pair behind ``run_multi_session``, exposes
+  the same ``step(n_slots)`` slicing contract, and
   bulk-commits quiet in-phase slices for policies registered via
   :func:`register_multi_vector` (stock: ``PhasedMultiSession`` and the
   epoch-driven arena allocators).  A capable policy declares its own
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -61,12 +63,16 @@ from repro.core.single_session import SingleSessionOnline
 from repro.errors import ConfigError, SimulationError
 from repro.network.queue import EPSILON, BitQueue
 from repro.obs.runtime import get_telemetry
+from repro.sim.invariants import Monitor, MultiSlotView, SingleSlotView
 from repro.sim.recorder import (
     MultiSessionRecorder,
     MultiSessionTrace,
     SingleSessionRecorder,
     SingleSessionTrace,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from repro.faults.plan import FaultPlan
 
 #: Largest quiet slice committed per bulk step.  Bounds transient memory
 #: (a few float64 arrays of this length) while amortizing numpy call
@@ -151,6 +157,33 @@ def multi_vector_capable(policy) -> bool:
 register_multi_vector(PhasedMultiSession)
 register_multi_vector(MaxMinFairAllocator)
 register_multi_vector(PriorityTierAllocator)
+
+
+def _active_plan(faults: "FaultPlan | None") -> "FaultPlan | None":
+    """``faults``, or None when it injects nothing (an empty plan)."""
+    return faults if faults is not None and not faults.is_null else None
+
+
+def _resolve_vector(
+    vector: bool | None, capable: bool, per_slot: bool, incapable: str
+) -> bool:
+    """Whether bulk commits are on, from the ``vector=`` knob.
+
+    ``per_slot`` (a fault plan or monitors) needs every slot stepped, so
+    ``None`` then resolves off and ``True`` is refused, as it is for an
+    incapable policy (with the ``incapable`` message).
+    """
+    if vector is None:
+        return capable and not per_slot
+    if vector:
+        if not capable:
+            raise ConfigError(incapable)
+        if per_slot:
+            raise ConfigError(
+                "vector=True requires no faults and no monitors "
+                "(both need every slot stepped)"
+            )
+    return bool(vector)
 
 
 def multi_local_changes(policy) -> list[tuple[int, str, object]]:
@@ -259,10 +292,9 @@ class _SummaryCollector:
 class EngineState:
     """Incremental single-session engine: advance in ``step(n_slots)`` bites.
 
-    Performs exactly the same queue/policy/recorder operations in the same
-    order as the engine's fast loop, so traces are bit-identical regardless
-    of how the run is sliced into ``step`` calls — and, with ``vector``
-    enabled, regardless of how many slots each bulk commit covers.
+    Traces are bit-identical regardless of how the run is sliced into
+    ``step`` calls — and, with ``vector`` enabled, regardless of how many
+    slots each bulk commit covers.
 
     Args:
         policy: the allocation policy (drives one
@@ -274,9 +306,13 @@ class EngineState:
         max_drain_slots: hard cap on extra drain slots (default
             ``4 * horizon + 1000``, evaluated at :meth:`close` time).
         queue_capacity: finite ingress buffer (None = unbounded).
+        monitors: invariant monitors called every slot.
+        faults: a :class:`~repro.faults.plan.FaultPlan` applied every slot
+            (link degradation, ingress drops; None = fault-free).
         vector: force (``True``) / suppress (``False``) the vectorized
             quiet fast-forward; ``None`` auto-selects it for
-            :func:`vector_capable` policies with an unbounded queue.
+            :func:`vector_capable` policies with an unbounded queue and
+            no faults or monitors.
         collect: ``"trace"`` records full per-slot arrays;
             ``"summary"`` keeps O(1) aggregates
             (:class:`SingleRunSummary`) for bounded-memory streaming.
@@ -292,6 +328,8 @@ class EngineState:
         drain: bool = True,
         max_drain_slots: int | None = None,
         queue_capacity: float | None = None,
+        monitors: Iterable[Monitor] = (),
+        faults: "FaultPlan | None" = None,
         vector: bool | None = None,
         collect: str = "trace",
         closed: bool = True,
@@ -299,6 +337,8 @@ class EngineState:
         if collect not in ("trace", "summary"):
             raise ConfigError(f"collect must be 'trace' or 'summary', got {collect!r}")
         self.policy = policy
+        self._monitors = list(monitors)
+        self._plan = _active_plan(faults)
         self.queue = BitQueue("session", capacity=queue_capacity)
         self.recorder = (
             SingleSessionRecorder() if collect == "trace" else _SummaryCollector()
@@ -310,18 +350,13 @@ class EngineState:
         self.t = 0
         self.closed = False
 
-        capable = vector_capable(policy) and queue_capacity is None
-        if vector is None:
-            self._vector = capable
-        elif vector:
-            if not capable:
-                raise ConfigError(
-                    "vector=True requires a vector-capable policy "
-                    f"({type(policy).__name__} is not) and an unbounded queue"
-                )
-            self._vector = True
-        else:
-            self._vector = False
+        self._vector = _resolve_vector(
+            vector,
+            vector_capable(policy) and queue_capacity is None,
+            self._plan is not None or bool(self._monitors),
+            "vector=True requires a vector-capable policy "
+            f"({type(policy).__name__} is not) and an unbounded queue",
+        )
         self._kernel_policy = self._vector and type(policy) is SingleSessionOnline
         # Adaptive backoff: on streams where quiet prefixes are short
         # (bursty arrivals above the allocation), the bulk attempt itself
@@ -394,6 +429,8 @@ class EngineState:
         recorder = self.recorder
         values = self._values
         horizon = len(values)
+        plan = self._plan
+        monitors = self._monitors
         isfinite = math.isfinite
         decide = policy.decide
         push = queue.push
@@ -435,9 +472,16 @@ class EngineState:
                     offered = 0.0
                 else:
                     break
+                slot_arrivals = offered
+                fault_dropped = 0.0
+                if plan is not None and slot_arrivals > 0.0:
+                    keep = plan.ingress_factor(t)
+                    if keep < 1.0:
+                        fault_dropped = slot_arrivals * (1.0 - keep)
+                        slot_arrivals -= fault_dropped
                 backlog = queue.size
-                lost = push(t, offered)
-                bandwidth = decide(t, offered, backlog)
+                lost = push(t, slot_arrivals)
+                bandwidth = decide(t, slot_arrivals, backlog)
                 if not isfinite(bandwidth):
                     raise SimulationError(
                         f"policy returned non-finite bandwidth {bandwidth!r} at t={t}"
@@ -446,17 +490,39 @@ class EngineState:
                     raise SimulationError(
                         f"policy returned negative bandwidth at t={t}"
                     )
-                result = serve(t, bandwidth)
+                if plan is None:
+                    requested = effective = None
+                    served = bandwidth
+                else:
+                    requested = getattr(policy, "requested_bandwidth", bandwidth)
+                    effective = served = bandwidth * plan.capacity_factor(t)
+                if monitors:
+                    queue_before = queue.size
+                result = serve(t, served)
+                # The trace records the *offered* load; ``dropped`` holds
+                # both ingress-fault losses and finite-buffer tail drops,
+                # so delivered + final backlog + dropped == offered.
                 record(
                     t,
                     offered,
                     bandwidth,
                     result,
                     queue.size,
-                    dropped=lost,
-                    requested=None,
-                    effective=None,
+                    dropped=lost + fault_dropped,
+                    requested=requested,
+                    effective=effective,
                 )
+                if monitors:
+                    view = SingleSlotView(
+                        t=t,
+                        arrivals=slot_arrivals,
+                        allocation=bandwidth,
+                        queue_before_serve=queue_before,
+                        queue_after_serve=queue.size,
+                        result=result,
+                    )
+                    for monitor in monitors:
+                        monitor.on_single_slot(view)
                 t += 1
                 processed += 1
         finally:
@@ -529,9 +595,7 @@ class MultiEngineState:
     """Incremental multi-session engine: advance in ``step(n_slots)`` bites.
 
     The multi-session twin of :class:`EngineState` and the implementation
-    behind ``run_multi_session``'s fast path: identical queue/policy/
-    recorder operations in the same order as the general loop with no
-    faults/monitors/telemetry, so traces are bit-identical regardless of
+    behind ``run_multi_session``: traces are bit-identical regardless of
     how the run is sliced into ``step`` calls — and, with ``vector``
     enabled, regardless of how many slots each bulk commit covers.
 
@@ -541,9 +605,14 @@ class MultiEngineState:
         drain: keep stepping with zero arrivals until all queues empty.
         max_drain_slots: hard cap on extra drain slots (default
             ``4 * T + 1000``).
+        monitors: invariant monitors called every slot.
+        faults: a :class:`~repro.faults.plan.FaultPlan`; each slot sets
+            every session's ``channels.capacity_factor`` (restored to 1.0
+            when :meth:`step` exits) and applies ingress drops.
         vector: force (``True``) / suppress (``False``) the quiet bulk
             fast-forward; ``None`` auto-selects it for
-            :func:`multi_vector_capable` policies.
+            :func:`multi_vector_capable` policies with no faults or
+            monitors.
     """
 
     def __init__(
@@ -553,6 +622,8 @@ class MultiEngineState:
         *,
         drain: bool = True,
         max_drain_slots: int | None = None,
+        monitors: Iterable[Monitor] = (),
+        faults: "FaultPlan | None" = None,
         vector: bool | None = None,
     ):
         array = _as_array(arrivals, ndim=2)
@@ -560,6 +631,8 @@ class MultiEngineState:
         if k != policy.k:
             raise ConfigError(f"arrivals have k={k} but policy has k={policy.k}")
         self.policy = policy
+        self._monitors = list(monitors)
+        self._plan = _active_plan(faults)
         self.k = k
         self.horizon = horizon
         self.recorder = MultiSessionRecorder(k)
@@ -571,19 +644,14 @@ class MultiEngineState:
         self._limit = horizon + cap
         self.t = 0
 
-        capable = multi_vector_capable(policy)
-        if vector is None:
-            self._vector = capable
-        elif vector:
-            if not capable:
-                raise ConfigError(
-                    "vector=True requires a register_multi_vector-ed policy "
-                    f"type with no extra channel ({type(policy).__name__} "
-                    "is not capable)"
-                )
-            self._vector = True
-        else:
-            self._vector = False
+        self._vector = _resolve_vector(
+            vector,
+            multi_vector_capable(policy),
+            self._plan is not None or bool(self._monitors),
+            "vector=True requires a vector-capable multi-session policy "
+            "(a register_multi_vector-ed type with no extra channel), got "
+            f"{type(policy).__name__}",
+        )
 
     @property
     def done(self) -> bool:
@@ -603,7 +671,12 @@ class MultiEngineState:
         rows = self._rows
         horizon = self.horizon
         k = self.k
+        plan = self._plan
+        monitors = self._monitors
         sessions = policy.sessions
+        regular_links = [s.channels.regular_link for s in sessions]
+        overflow_links = [s.channels.overflow_link for s in sessions]
+        extra_link = policy.extra_link
         policy_step = policy.step
         record = recorder.record
         isfinite = math.isfinite
@@ -628,18 +701,24 @@ class MultiEngineState:
                     offered = self._zero
                 else:
                     break
-                results = policy_step(t, offered)
+                slot_arrivals = offered
+                fault_dropped = 0.0
+                if plan is not None:
+                    factor = plan.capacity_factor(t)
+                    for session in sessions:
+                        session.channels.capacity_factor = factor
+                    keep = plan.ingress_factor(t)
+                    if keep < 1.0 and t < horizon:
+                        slot_arrivals = [x * keep for x in offered]
+                        fault_dropped = sum(offered) - sum(slot_arrivals)
+                results = policy_step(t, slot_arrivals)
                 if len(results) != k:
                     raise SimulationError(
                         f"policy returned {len(results)} results for k={k} at t={t}"
                     )
-                regular = [s.channels.regular_link.bandwidth for s in sessions]
-                overflow = [s.channels.overflow_link.bandwidth for s in sessions]
-                extra = (
-                    policy.extra_link.bandwidth
-                    if policy.extra_link is not None
-                    else 0.0
-                )
+                regular = [link.bandwidth for link in regular_links]
+                overflow = [link.bandwidth for link in overflow_links]
+                extra = extra_link.bandwidth if extra_link is not None else 0.0
                 for value in (*regular, *overflow, extra):
                     if not isfinite(value):
                         raise SimulationError(
@@ -654,13 +733,32 @@ class MultiEngineState:
                     results,
                     backlogs,
                     extra,
-                    requested_total=None,
-                    dropped=0.0,
+                    requested_total=(
+                        policy.total_requested if plan is not None else None
+                    ),
+                    dropped=fault_dropped,
                 )
+                if monitors:
+                    view = MultiSlotView(
+                        t=t,
+                        arrivals=slot_arrivals,
+                        regular=regular,
+                        overflow=overflow,
+                        extra=extra,
+                        backlogs=backlogs,
+                        results=results,
+                    )
+                    for monitor in monitors:
+                        monitor.on_multi_slot(view)
                 t += 1
                 processed += 1
         finally:
             self.t = t
+            # A mid-run SimulationError must not leak degraded capacity
+            # into the sessions' next run.
+            if plan is not None:
+                for session in sessions:
+                    session.channels.capacity_factor = 1.0
             tele = get_telemetry()
             if tele.enabled and processed:
                 registry = tele.registry

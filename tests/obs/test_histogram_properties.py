@@ -230,3 +230,36 @@ class TestHistogramPercentile:
         histogram = Histogram("h")
         histogram.observe(5.0)
         assert histogram.percentile(1.0) == 5.0
+
+
+class TestObserveArray:
+    """``observe_array`` is the per-value ``observe`` loop, bit for bit."""
+
+    @_SETTINGS
+    @given(
+        runs=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.floats(-1e6, 1e6, allow_nan=False),
+                    st.integers(-(2**20), 2**20).map(float),
+                    st.integers(-30, 30).map(lambda e: 2.0**e),
+                ),
+                st.integers(1, 40),
+            ),
+            max_size=30,
+        ),
+        prior=st.lists(st.floats(0.0, 1e3, allow_nan=False), max_size=3),
+    )
+    def test_matches_per_value_fold(self, runs, prior):
+        values = np.repeat(
+            [value for value, _ in runs], [length for _, length in runs]
+        )
+        one_by_one, bulk = Histogram("a"), Histogram("b")
+        for value in prior:
+            one_by_one.observe(value)
+            bulk.observe(value)
+        for value in values:
+            one_by_one.observe(float(value))
+        bulk.observe_array(values)
+        assert bulk.as_dict() == one_by_one.as_dict()
+        assert bulk.buckets == one_by_one.buckets

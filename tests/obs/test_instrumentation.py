@@ -13,8 +13,10 @@ from repro.core.phased import PhasedMultiSession
 from repro.core.single_session import SingleSessionOnline
 from repro.faults import RetryPolicy, UnreliableSignaling, standard_plan
 from repro.obs import telemetry_session
+from repro.obs.registry import Histogram
 from repro.sim.engine import run_multi_session, run_single_session
 from repro.sim.invariants import Claim2Monitor, soften
+from repro.sim.recorder import SingleSessionRecorder
 from repro.traffic import generate_multi_feasible
 
 
@@ -146,6 +148,80 @@ class TestEngineEmission:
         assert telemetry.enabled is False
         assert telemetry.registry.snapshot()["counters"] == {}
         assert telemetry.profiles == []
+
+
+def _per_slot_fold(values):
+    """The histogram a per-slot ``observe`` loop would have left."""
+    histogram = Histogram("reference")
+    for value in values:
+        histogram.observe(float(value))
+    return histogram
+
+
+def _assert_histogram_equal(actual, expected):
+    assert actual.count == expected.count
+    assert actual.buckets == expected.buckets
+    assert actual.min == expected.min
+    assert actual.max == expected.max
+    assert actual.total == expected.total  # bit-exact, not approx
+
+
+class TestTelemetryKeepsBulkCommits:
+    """Telemetry never selects engine code: a telemetry-on run still
+    bulk-commits quiet slices, and its engine histograms, derived after
+    the run from the trace arrays, equal a per-slot ``observe`` fold."""
+
+    def test_single_quiet_stream(self, monkeypatch):
+        blocks = []
+        record_block = SingleSessionRecorder.record_keepup_block
+
+        def spy(recorder, arrivals, allocation, delivered):
+            blocks.append(len(arrivals))
+            record_block(recorder, arrivals, allocation, delivered)
+
+        monkeypatch.setattr(SingleSessionRecorder, "record_keepup_block", spy)
+        arrivals = np.repeat(
+            np.random.default_rng(11).uniform(1.0, 12.0, size=8), 600
+        )
+        with telemetry_session() as tele:
+            trace = run_single_session(_single_policy(), arrivals)
+
+        assert blocks and sum(blocks) > trace.slots // 2
+        registry = tele.registry
+        _assert_histogram_equal(
+            registry.histogram("engine.single.queue_depth"),
+            _per_slot_fold(trace.backlog),
+        )
+        _assert_histogram_equal(
+            registry.histogram("engine.single.allocation"),
+            _per_slot_fold(trace.allocation),
+        )
+
+    def test_multi_histograms_fold_like_per_slot_sums(self):
+        workload = generate_multi_feasible(
+            8, offline_bandwidth=48, offline_delay=8, horizon=600, seed=3
+        )
+        with telemetry_session() as tele:
+            policy = PhasedMultiSession(8, offline_bandwidth=48, offline_delay=8)
+            trace = run_multi_session(policy, workload.arrivals)
+
+        depth = [sum(row) for row in trace.backlog.tolist()]
+        allocation = [
+            sum(regular) + sum(overflow) + extra
+            for regular, overflow, extra in zip(
+                trace.regular_allocation.tolist(),
+                trace.overflow_allocation.tolist(),
+                trace.extra_allocation.tolist(),
+            )
+        ]
+        registry = tele.registry
+        _assert_histogram_equal(
+            registry.histogram("engine.multi.queue_depth"), _per_slot_fold(depth)
+        )
+        _assert_histogram_equal(
+            registry.histogram("engine.multi.allocation"),
+            _per_slot_fold(allocation),
+        )
 
 
 class TestFaultAndInvariantEmission:

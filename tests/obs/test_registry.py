@@ -2,6 +2,9 @@
 
 import math
 
+import numpy as np
+import pytest
+
 from repro.obs.registry import (
     NULL_REGISTRY,
     Histogram,
@@ -67,6 +70,61 @@ class TestHistogram:
         histogram.observe(100.0)
         histogram.observe(0.5)
         assert list(histogram.as_dict()["buckets"]) == ["0.5", "128"]
+
+    def test_values_just_above_a_power_of_two_bucket_above_it(self):
+        """The bucket is the smallest power of two that is *at least* v,
+        also a few ulps above 2**k, where a rounded log2 lands on 2**k."""
+        for k in range(-30, 60):
+            power = 2.0**k
+            above = np.nextafter(power, np.inf)
+            for value in (
+                above,
+                np.nextafter(above, np.inf),
+                power * (1 + 1e-15),
+            ):
+                histogram = Histogram("h")
+                histogram.observe(float(value))
+                assert histogram.buckets == {2.0 * power: 1}, (k, value)
+            exact = Histogram("h")
+            exact.observe(power)
+            assert exact.buckets == {power: 1}
+
+    @pytest.mark.parametrize("prior", [(), (0.1,), (3.0, 0.5), (2.0**60,)])
+    @pytest.mark.parametrize(
+        "family",
+        ["uniform", "integers", "dyadic-runs", "dyadic-wide", "near-2**53", "signed"],
+    )
+    def test_observe_array_matches_per_value_fold(self, family, prior):
+        """Bulk observe equals the per-value loop bit for bit, on both the
+        exact run-length sum and the sequential-accumulate fallback."""
+        rng = np.random.default_rng(3)
+        values = {
+            "uniform": np.concatenate((
+                rng.uniform(0.0, 50.0, 500),
+                [0.0, 2.0**-1074, 2.0**-1022, np.nextafter(4.0, 8.0), 1e300],
+            )),
+            "integers": rng.poisson(4, 700).astype(float),
+            "dyadic-runs": np.repeat(
+                2.0 ** rng.integers(-4, 20, 12), rng.integers(1, 400, 12)
+            ),
+            "dyadic-wide": np.repeat(
+                2.0 ** rng.integers(-40, 40, 12), rng.integers(1, 400, 12)
+            ),
+            "near-2**53": np.repeat([2.0**52, 3.0, 2.0**51 + 1.0], 5),
+            "signed": np.repeat(rng.normal(0.0, 4.0, 30).round(1), 20),
+        }[family]
+        one_by_one, bulk = Histogram("a"), Histogram("b")
+        for value in prior:  # a prior total the fold must extend
+            one_by_one.observe(value)
+            bulk.observe(value)
+        for value in values:
+            one_by_one.observe(float(value))
+        bulk.observe_array(values)
+        assert bulk.as_dict() == one_by_one.as_dict()
+        assert bulk.buckets == one_by_one.buckets
+        assert bulk.total == one_by_one.total
+        bulk.observe_array(np.array([]))
+        assert bulk.count == one_by_one.count
 
 
 class TestSnapshot:

@@ -127,52 +127,57 @@ class TestTelemetryMerge:
     def test_null_registry_merge_is_noop(self):
         NullRegistry().merge_snapshot({"counters": {"a": 1.0}})
 
-    def test_refold_makes_gauge_values_order_independent(self):
-        """Completion-order merges + a seq-order refold = deterministic.
+    def test_staged_fold_is_completion_order_independent(self):
+        """Shards staged in completion order + a submission-order fold.
 
-        The pool now merges worker snapshots as shards complete (for the
-        live observatory), so the only order-dependent field — a gauge's
-        last value — is re-asserted in submission order afterwards.  Any
-        completion order must then yield the identical final snapshot.
+        The pool stages worker snapshots as shards complete (for the live
+        observatory) and folds them in submission order at the end.  Any
+        completion order must then yield the identical final snapshot,
+        float sums included.
         """
         shards = []
-        for value in (3.0, 7.0, 5.0):
+        for value in (0.1, 0.7, 0.2):
             worker = MetricsRegistry()
-            worker.counter("slots").inc(10.0)
+            worker.counter("bits").inc(value)
             worker.gauge("depth").set(value)
             worker.histogram("lat").observe(value)
             shards.append(worker.snapshot())
 
         def fold(completion_order):
             registry = MetricsRegistry()
-            for index in completion_order:  # merge as shards "complete"
-                registry.merge_snapshot(shards[index])
-            for snapshot in shards:  # refold in submission order
-                registry.refold_gauge_values(snapshot)
+            registry.counter("bits").inc(0.3)
+            for index in completion_order:  # staged as shards "complete"
+                registry.stage_snapshot(shards[index])
+            live = registry.snapshot()
+            assert live["histograms"]["lat"]["count"] == 3
+            registry.fold_snapshots(shards)  # submission order
             return registry.snapshot()
 
         import itertools
 
         baseline = fold((0, 1, 2))
-        assert baseline["gauges"]["depth"]["value"] == 5.0  # last submitted
-        assert baseline["counters"]["slots"] == 30.0
+        assert baseline["gauges"]["depth"]["value"] == 0.2  # last submitted
+        assert baseline["histograms"]["lat"]["count"] == 3  # no double count
+        # Float sums are order-sensitive here: (0.3 + 0.2) + 0.1 + 0.7
+        # differs from this submission-order fold in the last bit.
+        assert baseline["counters"]["bits"] == ((0.3 + 0.1) + 0.7) + 0.2
+        assert baseline["counters"]["bits"] != ((0.3 + 0.2) + 0.1) + 0.7
         for order in itertools.permutations(range(3)):
             assert fold(order) == baseline
 
-    def test_refold_skips_untouched_gauges_and_garbage(self):
-        registry = MetricsRegistry()
-        registry.gauge("g").set(2.0)
-        registry.refold_gauge_values(
-            {"gauges": {"g": {"value": 9.0, "updates": 0}}}
-        )
-        assert registry.gauge("g").value == 2.0  # no updates: not refolded
-        registry.refold_gauge_values(None)
-        registry.refold_gauge_values({"gauges": {"g": "nope"}})
-        registry.refold_gauge_values(
-            {"gauges": {"g": {"value": "bad", "updates": 1}}}
-        )
-        assert registry.gauge("g").value == 2.0
-        NullRegistry().refold_gauge_values({"gauges": {}})
+    def test_inline_and_pooled_registries_match(self):
+        """jobs=1 and jobs=2 leave equal registries: every job, inline or
+        pooled, records into its own registry, folded in submission order
+        (a worker that ran two shards must not ship the first twice)."""
+
+        def run(jobs):
+            with telemetry_session() as tele:
+                run_batch(["E-T6"], seed=0, scale=SCALE, jobs=jobs, telemetry=True)
+            return tele.registry.snapshot()
+
+        inline = run(1)
+        assert inline == run(2)
+        assert inline["counters"]["engine.single.runs"] == 3
 
     def test_parallel_batch_registry_is_deterministic(self):
         """Two identical jobs=2 batches leave identical registries."""

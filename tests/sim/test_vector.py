@@ -1,12 +1,12 @@
-"""Vectorized engine tests: bit-identity against the scalar paths.
+"""Vectorized engine tests: bit-identity against the scalar step.
 
 The event-sliced fast-forward (:mod:`repro.sim.vector`) must be invisible
-in every recorded float: the vectorized run, the scalar fast loop, and
-the general loop all produce byte-identical traces.  These tests drive
-that three-way equivalence over fixed edge cases (drain phases, zero
-horizons, dust accumulation) and randomized streams (hypothesis, with the
-budget driven by ``REPRO_FUZZ_EXAMPLES``), plus the gating semantics of
-the ``vector=`` knob.
+in every recorded float: the vectorized run (``vector=True``) and the
+scalar step (``vector=False``) produce byte-identical traces.  These tests
+drive that equivalence over fixed edge cases (drain phases, zero horizons,
+dust accumulation) and randomized streams (hypothesis, with the budget
+driven by ``REPRO_FUZZ_EXAMPLES``), plus the gating semantics of the
+``vector=`` knob.
 """
 
 import numpy as np
@@ -20,6 +20,7 @@ from repro.core.variants import EagerResetSingleSession
 from repro.errors import ConfigError
 from repro.network.queue import EPSILON
 from repro.sim.engine import run_multi_session, run_single_session
+from repro.sim.invariants import DelayMonitor
 from repro.sim.vector import run_batched, vector_capable
 from tests.strategies import FUZZ_EXAMPLES, arrival_streams
 
@@ -47,12 +48,10 @@ def _assert_single_identical(first, second):
     assert first.horizon == second.horizon
 
 
-def _assert_three_way(arrivals, policy_factory=_policy):
+def _assert_two_way(arrivals, policy_factory=_policy):
     vector = run_single_session(policy_factory(), arrivals, vector=True)
     scalar = run_single_session(policy_factory(), arrivals, vector=False)
-    general = run_single_session(policy_factory(), arrivals, fast_path=False)
     _assert_single_identical(vector, scalar)
-    _assert_single_identical(vector, general)
     return vector
 
 
@@ -74,9 +73,11 @@ class TestVectorCapability:
         with pytest.raises(ConfigError, match="vector"):
             run_single_session(policy, [1.0, 2.0], vector=True)
 
-    def test_vector_true_rejects_disabled_fast_path(self):
-        with pytest.raises(ConfigError, match="fast path"):
-            run_single_session(_policy(), [1.0, 2.0], vector=True, fast_path=False)
+    def test_vector_true_rejects_monitors(self):
+        with pytest.raises(ConfigError, match="monitors"):
+            run_single_session(
+                _policy(), [1.0, 2.0], vector=True, monitors=[DelayMonitor(16)]
+            )
 
     def test_vector_true_rejects_bounded_queue(self):
         with pytest.raises(ConfigError, match="vector"):
@@ -84,37 +85,37 @@ class TestVectorCapability:
 
     def test_vector_false_still_matches(self):
         arrivals = np.random.default_rng(5).poisson(6, 400).astype(float)
-        _assert_three_way(arrivals)
+        _assert_two_way(arrivals)
 
 
 class TestSingleThreeWayIdentity:
     def test_piecewise_constant(self):
         rng = np.random.default_rng(11)
         arrivals = np.repeat(rng.uniform(1, 12, size=10), 500)
-        _assert_three_way(arrivals)
+        _assert_two_way(arrivals)
 
     def test_bursty_poisson(self):
         arrivals = np.random.default_rng(2).poisson(6, 3000).astype(float)
-        _assert_three_way(arrivals)
+        _assert_two_way(arrivals)
 
     def test_static_allocator(self):
         arrivals = np.random.default_rng(3).uniform(0, 6, 2000)
-        _assert_three_way(arrivals, lambda: StaticAllocator(bandwidth=8.0))
+        _assert_two_way(arrivals, lambda: StaticAllocator(bandwidth=8.0))
 
     def test_zero_horizon(self):
-        trace = _assert_three_way(np.array([]))
+        trace = _assert_two_way(np.array([]))
         assert trace.horizon == 0
         assert len(trace.allocation) == 0
 
     def test_all_zero_arrivals(self):
-        _assert_three_way(np.zeros(500))
+        _assert_two_way(np.zeros(500))
 
     def test_drain_phase(self):
         # A burst at the end leaves backlog that only drains past the
         # horizon; drain slots must be identical on every path.
         arrivals = np.zeros(600)
         arrivals[590:] = 100.0
-        trace = _assert_three_way(arrivals)
+        trace = _assert_two_way(arrivals)
         assert len(trace.allocation) > trace.horizon
 
     def test_dust_accumulation(self):
@@ -124,14 +125,14 @@ class TestSingleThreeWayIdentity:
         arrivals = rng.uniform(0, 4, 1500)
         arrivals[::3] = EPSILON / 2
         arrivals[::7] = 0.0
-        _assert_three_way(arrivals)
+        _assert_two_way(arrivals)
 
     def test_exact_epsilon_arrivals(self):
         # Pinned boundary: arrivals == EPSILON are *not* above the dust
         # threshold (strict >), so they deliver nothing on any path.
         arrivals = np.full(300, EPSILON)
         arrivals[::5] = 2.0
-        _assert_three_way(arrivals)
+        _assert_two_way(arrivals)
 
     def test_spiky_reset_heavy(self):
         # Pinned counterexample shape from development: tall isolated
@@ -141,17 +142,17 @@ class TestSingleThreeWayIdentity:
         arrivals = np.zeros(2000)
         spikes = rng.random(2000) < 0.05
         arrivals[spikes] = rng.uniform(16, 32, spikes.sum())
-        _assert_three_way(arrivals)
+        _assert_two_way(arrivals)
 
     @_SETTINGS
     @given(arrival_streams(max_slots=400))
     def test_random_streams(self, arrivals):
-        _assert_three_way(arrivals)
+        _assert_two_way(arrivals)
 
     @_SETTINGS
     @given(arrival_streams(max_slots=300, max_rate=8.0))
     def test_random_streams_static(self, arrivals):
-        _assert_three_way(arrivals, lambda: StaticAllocator(bandwidth=4.0))
+        _assert_two_way(arrivals, lambda: StaticAllocator(bandwidth=4.0))
 
 
 class TestMultiVector:
@@ -180,9 +181,7 @@ class TestMultiVector:
         arrivals = np.repeat(rng.uniform(0.5, 4.0, size=(5, 2)), 400, axis=0)
         vector = run_multi_session(self._multi_policy(), arrivals, vector=True)
         scalar = run_multi_session(self._multi_policy(), arrivals, vector=False)
-        general = run_multi_session(self._multi_policy(), arrivals, fast_path=False)
         self._assert_multi_identical(vector, scalar)
-        self._assert_multi_identical(vector, general)
 
     def test_multi_bursty(self):
         arrivals = np.random.default_rng(29).poisson(3, size=(1500, 3)).astype(float)

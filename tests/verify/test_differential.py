@@ -22,9 +22,9 @@ from repro.verify.differential import (
     certified_multi_run,
     certified_single_run,
     default_policy,
-    fast_path_mismatch_multi,
-    fast_path_mismatch_single,
     oracle_ratio_check,
+    vector_mismatch_multi,
+    vector_mismatch_single,
 )
 from tests.strategies import (
     FUZZ_EXAMPLES,
@@ -126,12 +126,13 @@ class TestRawAndFaultedWorkloads:
 
 
 class TestFastPathDifferential:
-    """fast_path=True/False must be bit-identical — any divergence is a bug."""
+    """Bulk commits vs the scalar step (``vector=None``/``False``) must be
+    bit-identical — any divergence is a bug."""
 
     @_FUZZ
     @given(arrivals=arrival_streams())
     def test_single_session_bit_identity(self, arrivals):
-        mismatch = fast_path_mismatch_single(
+        mismatch = vector_mismatch_single(
             lambda: SingleSessionOnline(64.0, 8, 0.25, 16),
             arrivals,
             max_drain_slots=500_000,
@@ -145,7 +146,7 @@ class TestFastPathDifferential:
         arrivals = rng.poisson(2, size=(int(rng.integers(20, 120)), 3)).astype(
             float
         )
-        mismatch = fast_path_mismatch_multi(
+        mismatch = vector_mismatch_multi(
             lambda: PhasedMultiSession(3, offline_bandwidth=32.0, offline_delay=4),
             arrivals,
             max_drain_slots=500_000,
