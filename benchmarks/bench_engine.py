@@ -8,9 +8,13 @@ against the scalar fast loops it replaces, in slots/second:
    workload the event-sliced kernel is built for: long quiet runs between
    allocation events.
 2. ``multi_k2`` / ``multi_k8`` — :class:`PhasedMultiSession` over calm
-   per-session piecewise-constant rates, exercising the in-phase keep-up
-   bulk commit.
-3. ``batched_64`` — :func:`repro.sim.vector.run_batched` over a stacked
+   per-session piecewise-constant rates, exercising keep-up bulk commits
+   that span the no-op phase ends.
+3. ``continuous_k8`` / ``maxmin_k8`` — :class:`ContinuousMultiSession`
+   (spans run until the next REDUCE timer) and
+   :class:`MaxMinFairAllocator` (spans run through epochs that move no
+   link) over the same calm k=8 input.
+4. ``batched_64`` — :func:`repro.sim.vector.run_batched` over a stacked
    ``(n, T)`` arrival matrix vs a per-session scalar loop.
 
 Every vectorized run must be **bit-identical** to its scalar twin (the
@@ -37,6 +41,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_parallel import PERF_SCHEMA, validate  # noqa: E402,F401
 
+from repro.core.continuous import ContinuousMultiSession  # noqa: E402
+from repro.core.maxminfair import MaxMinFairAllocator  # noqa: E402
 from repro.core.phased import PhasedMultiSession  # noqa: E402
 from repro.core.single_session import SingleSessionOnline  # noqa: E402
 from repro.obs.history import (  # noqa: E402
@@ -94,6 +100,7 @@ def _multi_traces_equal(a, b) -> bool:
         and np.array_equal(a.delivered, b.delivered)
         and np.array_equal(a.backlog, b.backlog)
         and a.delay_histograms == b.delay_histograms
+        and a.local_changes == b.local_changes
     )
 
 
@@ -133,23 +140,34 @@ def bench_single(seed: int, scale: float) -> dict:
     )
 
 
-def bench_multi(seed: int, scale: float, k: int) -> dict:
+#: Multi-session policy families, each built for ``k`` sessions sharing
+#: 8 bits/slot per session (calm inputs stay at or below 4).
+MULTI_POLICIES = {
+    "multi": lambda k: PhasedMultiSession(
+        k, offline_bandwidth=8.0 * k, offline_delay=8
+    ),
+    "continuous": lambda k: ContinuousMultiSession(
+        k, offline_bandwidth=8.0 * k, offline_delay=8
+    ),
+    "maxmin": lambda k: MaxMinFairAllocator(k, capacity=8.0 * k, period=8),
+}
+
+
+def bench_multi(seed: int, scale: float, k: int, family: str = "multi") -> dict:
     horizon = max(SEGMENT, int(100_000 * scale))
     rng = np.random.default_rng(seed + k)
     arrivals = _piecewise(rng, horizon, 0.5, 4.0, k=k)
-
-    def policy() -> PhasedMultiSession:
-        return PhasedMultiSession(k, offline_bandwidth=8.0 * k, offline_delay=8)
+    make = MULTI_POLICIES[family]
 
     scalar, scalar_s = _best_of(
-        lambda: run_multi_session(policy(), arrivals, vector=False)
+        lambda: run_multi_session(make(k), arrivals, vector=False)
     )
     vector, vector_s = _best_of(
-        lambda: run_multi_session(policy(), arrivals, vector=True)
+        lambda: run_multi_session(make(k), arrivals, vector=True)
     )
     slots = len(scalar.delivered)
     return _workload(
-        f"multi_k{k}", slots, scalar_s, vector_s,
+        f"{family}_k{k}", slots, scalar_s, vector_s,
         _multi_traces_equal(scalar, vector),
     )
 
@@ -183,6 +201,8 @@ def run_bench(seed: int, scale: float, out: Path) -> dict:
         bench_single(seed, scale),
         bench_multi(seed, scale, 2),
         bench_multi(seed, scale, 8),
+        bench_multi(seed, scale, 8, "continuous"),
+        bench_multi(seed, scale, 8, "maxmin"),
         bench_batched(seed, scale),
     ]
     engine = {

@@ -87,7 +87,24 @@ class BandwidthPolicy(ABC):
 
 
 class MultiSessionPolicy(ABC):
-    """Multi-session allocation policy owning its session queues."""
+    """Multi-session allocation policy owning its session queues.
+
+    A policy opts in to the vectorized engine's bulk commits
+    (:func:`repro.sim.vector.multi_vector_capable`) by setting
+    ``bulk_commits = True`` in its own class body.  The flag is read from
+    the exact class's namespace, so a subclass stays on the scalar step
+    until it declares the flag itself.  The class must then honour the
+    quiet-slice contract below: between the boundaries that
+    :meth:`quiet_slots_until_boundary` reports, :meth:`step` runs no
+    decision logic and touches no link, and a slot whose queues are all
+    exactly empty and whose per-session arrivals are at or below the
+    regular allocations delivers its own arrivals at delay 0 and leaves
+    the queues exactly empty.
+    """
+
+    #: Opt-in to bulk commits (see the class docstring); read from the
+    #: exact class, never inherited.
+    bulk_commits = False
 
     def __init__(self, k: int, fifo: bool = False):
         if k < 1:
@@ -108,6 +125,45 @@ class MultiSessionPolicy(ABC):
         deliveries routed through an extra global channel must be folded
         into the owning session's result so delay accounting stays exact.
         """
+
+    # -- event-boundary hooks (vectorized engine) ----------------------------
+
+    def quiet_slots_until_boundary(self, t: int) -> int:
+        """Slots from ``t`` guaranteed free of policy events.
+
+        0 means the slot at ``t`` needs the scalar step (the policy has
+        not started, or an event is due).  The base policy never
+        promises a quiet slot.
+        """
+        return 0
+
+    def pass_quiet_boundary(self, t: int, arrived: Sequence[float]) -> bool:
+        """Run the due boundary at ``t`` inside a keep-up span, if a no-op.
+
+        Called only when every queue is exactly empty and a boundary is
+        due at ``t``; ``arrived`` holds each session's cumulative
+        ``bits_arrived`` at the start of slot ``t``.  Returns True after
+        running the boundary's bookkeeping when it provably changes no
+        link; otherwise returns False with no side effects, and the
+        engine runs the boundary in the scalar step.
+        """
+        return False
+
+    def queues_exactly_empty(self) -> bool:
+        """True when every regular and overflow queue holds exactly 0 bits.
+
+        Stricter than ``is_empty`` (which tolerates sub-epsilon dust): the
+        vectorized keep-up analysis requires the true empty state.
+        """
+        for session in self.sessions:
+            channels = session.channels
+            regular = channels.regular_queue
+            overflow = channels.overflow_queue
+            if regular._size != 0.0 or regular._chunks:
+                return False
+            if overflow._size != 0.0 or overflow._chunks:
+                return False
+        return True
 
     # -- uniform accounting ------------------------------------------------
 

@@ -18,6 +18,7 @@ Guarantees (Theorem 17): total bandwidth ≤ ``B_A = 5·B_O`` (regular
 
 from __future__ import annotations
 
+import sys
 from typing import Sequence
 
 from repro.core.allocator import MultiSessionPolicy
@@ -36,7 +37,14 @@ class ContinuousMultiSession(MultiSessionPolicy):
         offline_delay: ``D_O`` — the comparator's delay bound; also the
             REDUCE timer length.
         fifo: serve each session FIFO with its pooled bandwidth.
+
+    Vector-capable: its only scheduled events are REDUCE timers, and in
+    a keep-up slot TEST cannot fire (arrivals ``a <= B_r <= B_r·D_O``
+    into an empty regular queue), so the slots before the next timer are
+    quiet.
     """
+
+    bulk_commits = True
 
     def __init__(
         self,
@@ -127,6 +135,21 @@ class ContinuousMultiSession(MultiSessionPolicy):
         self._events.clear()
         for session in self.sessions:
             session.channels.overflow_link.set(t, 0.0)
+
+    # -- event-boundary hooks (vectorized engine) ----------------------------
+
+    def quiet_slots_until_boundary(self, t: int) -> int:
+        """Slots from ``t`` before the next REDUCE timer fires.
+
+        Unbounded (``sys.maxsize``) when no timer is pending; 0 before the
+        first step or when a timer is due at ``t``.
+        """
+        if not self._started:
+            return 0
+        due = self._events.next_due()
+        if due is None:
+            return sys.maxsize
+        return max(0, due - t)
 
     # -- the slot step ---------------------------------------------------------
 

@@ -18,7 +18,10 @@ so a run sliced into bulk-committed quiet spans re-decides identically
 to the scalar per-slot run — the bit-identity the engine's vector path
 requires.  Between epochs the policy runs no decision logic and touches
 no link, which is exactly the quiet-slice contract of
-:func:`repro.sim.vector.multi_vector_capable`.
+:class:`~repro.core.allocator.MultiSessionPolicy`; an epoch whose
+re-decision moves no link is passed inside a bulk commit
+(:meth:`EpochDrivenMultiSession.pass_quiet_boundary`).  Each concrete
+family opts in with ``bulk_commits = True``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import Sequence
 
 from repro.core.allocator import MultiSessionPolicy
 from repro.errors import ConfigError
+from repro.network.link import CHANGE_EPSILON
 from repro.network.queue import ServeResult
 
 
@@ -75,20 +79,22 @@ class EpochDrivenMultiSession(MultiSessionPolicy):
 
     # -- epoch machinery -----------------------------------------------------
 
-    def _measure_demands(self) -> list[float]:
+    def _measure_demands(self, arrived: Sequence[float]) -> list[float]:
         """Per-session demand rate over the elapsed epoch.
 
-        Arrivals since the previous epoch plus the carried backlog, spread
-        over one period — the backlog term guarantees a backlogged session
+        Arrivals since the previous epoch (``arrived`` is each session's
+        cumulative ``bits_arrived``) plus the carried backlog, spread over
+        one period — the backlog term guarantees a backlogged session
         always reports positive demand, so allocations cannot stay at zero
-        while bits are queued (drain termination).
+        while bits are queued (drain termination).  Moves the demand mark
+        to ``arrived`` (a fresh list, so a caller may restore the old one).
         """
-        demands = []
-        for i, session in enumerate(self.sessions):
-            arrived = session.bits_arrived
-            fresh = arrived - self._arrived_mark[i]
-            self._arrived_mark[i] = arrived
-            demands.append((fresh + session.backlog) / self.period)
+        marks = self._arrived_mark
+        demands = [
+            (bits - mark + session.backlog) / self.period
+            for bits, mark, session in zip(arrived, marks, self.sessions)
+        ]
+        self._arrived_mark = list(arrived)
         return demands
 
     def _start(self, t: int) -> None:
@@ -99,7 +105,9 @@ class EpochDrivenMultiSession(MultiSessionPolicy):
 
     def _epoch(self, t: int) -> None:
         self.epoch_boundaries.append(t)
-        allocations = self._allocations(self._measure_demands())
+        allocations = self._allocations(
+            self._measure_demands([s.bits_arrived for s in self.sessions])
+        )
         for session, bandwidth in zip(self.sessions, allocations):
             session.channels.regular_link.set(t, bandwidth)
         self._next_epoch = t + self.period
@@ -122,20 +130,24 @@ class EpochDrivenMultiSession(MultiSessionPolicy):
             return 0
         return max(0, self._next_epoch - t)
 
-    def queues_exactly_empty(self) -> bool:
-        """True when every regular and overflow queue holds exactly 0 bits.
+    def pass_quiet_boundary(self, t: int, arrived: Sequence[float]) -> bool:
+        """Run an epoch inside a keep-up span when it moves no link.
 
-        Stricter than ``is_empty`` (which tolerates sub-epsilon dust): the
-        vectorized keep-up analysis requires the true empty state.
+        Measures demand from ``arrived`` exactly as the scalar epoch
+        would from ``bits_arrived`` (the queues are empty, so the backlog
+        term is 0).  When some allocation would move by more than
+        ``CHANGE_EPSILON`` the demand mark is restored and the epoch is
+        left to the scalar step.
         """
-        for session in self.sessions:
-            channels = session.channels
-            regular = channels.regular_queue
-            overflow = channels.overflow_queue
-            if regular._size != 0.0 or regular._chunks:
+        mark = self._arrived_mark
+        allocations = self._allocations(self._measure_demands(arrived))
+        for session, bandwidth in zip(self.sessions, allocations):
+            current = session.channels.regular_link.bandwidth
+            if abs(bandwidth - current) > CHANGE_EPSILON:
+                self._arrived_mark = mark
                 return False
-            if overflow._size != 0.0 or overflow._chunks:
-                return False
+        self.epoch_boundaries.append(t)
+        self._next_epoch = t + self.period
         return True
 
     # -- the slot step -------------------------------------------------------

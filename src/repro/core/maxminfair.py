@@ -112,6 +112,8 @@ class MaxMinFairAllocator(EpochDrivenMultiSession):
         fifo: serve each session FIFO with its pooled bandwidth.
     """
 
+    bulk_commits = True
+
     def __init__(
         self,
         k: int,

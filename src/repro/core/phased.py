@@ -31,12 +31,16 @@ from typing import Sequence
 
 from repro.core.allocator import MultiSessionPolicy
 from repro.errors import ConfigError
+from repro.network.link import CHANGE_EPSILON
 from repro.network.queue import EPSILON, ServeResult
 from repro.obs.runtime import count as obs_count
 
 
 class PhasedMultiSession(MultiSessionPolicy):
     """Figure 4: phase-driven shared-channel allocator.
+
+    Vector-capable: its phase ends are the only events, and a phase end
+    that changes no link is passed inside a bulk commit.
 
     Args:
         k: number of sessions (``k >= 2`` in the paper; 1 is allowed and
@@ -46,6 +50,8 @@ class PhasedMultiSession(MultiSessionPolicy):
             phase length.
         fifo: serve each session FIFO with its pooled bandwidth.
     """
+
+    bulk_commits = True
 
     def __init__(
         self,
@@ -167,20 +173,22 @@ class PhasedMultiSession(MultiSessionPolicy):
             return 0
         return max(0, self._next_boundary - t)
 
-    def queues_exactly_empty(self) -> bool:
-        """True when every regular and overflow queue holds exactly 0 bits.
+    def pass_quiet_boundary(self, t: int, arrived: Sequence[float]) -> bool:
+        """Run a phase end inside a keep-up span when it changes no link.
 
-        Stricter than ``is_empty`` (which tolerates sub-epsilon dust): the
-        vectorized keep-up analysis requires the true empty state.
+        The engine calls this only with every queue exactly empty, so
+        each session kept up and the phase end only zeroes the overflow
+        links: a no-op when each is already within ``CHANGE_EPSILON`` of
+        0.  The regular links are then untouched since the last phase end
+        or RESET, which left their total within the regular-channel cap,
+        so no stage ends either.
         """
         for session in self.sessions:
-            channels = session.channels
-            regular = channels.regular_queue
-            overflow = channels.overflow_queue
-            if regular._size != 0.0 or regular._chunks:
+            if session.channels.overflow_link.bandwidth > CHANGE_EPSILON:
                 return False
-            if overflow._size != 0.0 or overflow._chunks:
-                return False
+        self.phase_boundaries.append(t)
+        obs_count("core.phased.phase_ends")
+        self._next_boundary = t + self.offline_delay
         return True
 
     # -- the slot step -------------------------------------------------------

@@ -120,6 +120,8 @@ class PriorityTierAllocator(EpochDrivenMultiSession):
         fifo: serve each session FIFO with its pooled bandwidth.
     """
 
+    bulk_commits = True
+
     def __init__(
         self,
         k: int,

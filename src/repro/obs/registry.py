@@ -233,10 +233,18 @@ class Histogram:
             "min": self.min if count else 0.0,
             "max": self.max if count else 0.0,
             "buckets": {
-                f"{bound:g}": hits
+                _bucket_key(bound): hits
                 for bound, hits in sorted(list(self.buckets.items()))
             },
         }
+
+
+def _bucket_key(bound: float) -> str:
+    """The snapshot key of a bucket bound: its shortest round-trip
+    ``repr``, without a trailing ``.0`` (``"128"``, ``"0.5"``,
+    ``"2097152"``), so ``float(key) == bound`` for every bound."""
+    text = repr(bound)
+    return text[:-2] if text.endswith(".0") else text
 
 
 class _NullCounter:

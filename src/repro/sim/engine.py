@@ -160,12 +160,14 @@ def run_multi_session(
             combined algorithm's global channel is served inside the policy
             and is not degraded.)
         vector: force (``True``) or suppress (``False``) bulk commits of
-            quiet slices (supported for policy types registered via
-            :func:`~repro.sim.vector.register_multi_vector` — stock
-            :class:`~repro.core.phased.PhasedMultiSession` and the
-            epoch-driven arena allocators); ``None`` (default) auto-selects
-            them when there are no faults or monitors.  Traces are
-            bit-identical either way.
+            keep-up spans, which run through phase ends and epochs that
+            change no link (supported when
+            :func:`~repro.sim.vector.multi_vector_capable` holds — stock
+            :class:`~repro.core.phased.PhasedMultiSession`,
+            :class:`~repro.core.continuous.ContinuousMultiSession` and the
+            epoch-driven arena allocators, not the combined algorithm);
+            ``None`` (default) auto-selects them when there are no faults
+            or monitors.  Traces are bit-identical either way.
     """
     state = MultiEngineState(
         policy,

@@ -44,6 +44,46 @@ def histogram_quantile(histogram: dict[int, float], q: float) -> int:
     return max(histogram)
 
 
+def keepup_delivered(arrivals: np.ndarray) -> np.ndarray:
+    """What keep-up slots deliver: each arrival above the dust threshold
+    (a sub-epsilon push enqueues nothing, so delivers 0.0)."""
+    return np.where(arrivals > EPSILON_BITS, arrivals, 0.0)
+
+
+def fold_sum(start, values: np.ndarray):
+    """``start`` plus every row of ``values``, added in order along axis 0.
+
+    ``np.add.accumulate`` is sequential, so the result is bit-equal to a
+    scalar ``start += row`` loop (``np.sum`` is pairwise and is not).
+    Works for a scalar ``start`` over a 1-D ``values`` and for a vector
+    ``start`` over a 2-D ``values``.
+    """
+    head = np.asarray(start, dtype=float)[None]
+    return np.add.accumulate(np.concatenate((head, values)), axis=0)[-1]
+
+
+def _splice(
+    scalar: list[np.ndarray], blocks: list[tuple[int, list[np.ndarray]]]
+) -> list[np.ndarray]:
+    """Interleave deferred block columns with the scalar-slot columns.
+
+    Each block is ``(pos, columns)`` where ``pos`` is the number of
+    scalar slots recorded before it was committed.
+    """
+    if not blocks:
+        return scalar
+    parts: list[list[np.ndarray]] = [[] for _ in scalar]
+    previous = 0
+    for pos, columns in blocks:
+        for part, column, block_column in zip(parts, scalar, columns):
+            part.append(column[previous:pos])
+            part.append(block_column)
+        previous = pos
+    for part, column in zip(parts, scalar):
+        part.append(column[previous:])
+    return [np.concatenate(part) for part in parts]
+
+
 @dataclass
 class SingleSessionTrace:
     """Finalized record of a single-session run."""
@@ -274,11 +314,7 @@ class SingleSessionRecorder:
         positive = delivered[delivered > 0.0]
         if positive.size:
             histogram = self._histogram
-            histogram[0] = float(
-                np.add.accumulate(
-                    np.concatenate(([histogram.get(0, 0.0)], positive))
-                )[-1]
-            )
+            histogram[0] = float(fold_sum(histogram.get(0, 0.0), positive))
 
     def _columns(self) -> list[np.ndarray]:
         """Materialize the seven per-slot columns, splicing deferred
@@ -295,24 +331,15 @@ class SingleSessionRecorder:
                 self._effective,
             )
         ]
-        if not self._blocks:
-            return scalar
-        parts: list[list[np.ndarray]] = [[] for _ in range(7)]
-        previous = 0
+        blocks = []
         for pos, arrivals, allocation, delivered in self._blocks:
-            for f in range(7):
-                parts[f].append(scalar[f][previous:pos])
             n = len(arrivals)
             constant = np.full(n, allocation)
             zeros = np.zeros(n)
-            for f, column in enumerate(
-                (arrivals, constant, delivered, zeros, zeros, constant, constant)
-            ):
-                parts[f].append(column)
-            previous = pos
-        for f in range(7):
-            parts[f].append(scalar[f][previous:])
-        return [np.concatenate(p) for p in parts]
+            blocks.append(
+                (pos, [arrivals, constant, delivered, zeros, zeros, constant, constant])
+            )
+        return _splice(scalar, blocks)
 
     def finalize(
         self,
@@ -354,6 +381,13 @@ class MultiSessionRecorder:
         self._requested: list[float] = []
         self._dropped: list[float] = []
         self._histograms: list[dict[int, float]] = [dict() for _ in range(k)]
+        #: Deferred keep-up blocks:
+        #: ``(pos, rows, regular, overflow, extra, requested)`` where
+        #: ``pos`` is the scalar-row count at commit time (see
+        #: :meth:`SingleSessionRecorder.record_keepup_block`).
+        self._blocks: list[
+            tuple[int, np.ndarray, list[float], list[float], float, float]
+        ] = []
 
     def record(
         self,
@@ -386,7 +420,7 @@ class MultiSessionRecorder:
 
     def record_keepup_block(
         self,
-        rows: list[list[float]],
+        rows: np.ndarray,
         regular: list[float],
         overflow: list[float],
         extra_allocation: float,
@@ -396,28 +430,58 @@ class MultiSessionRecorder:
         every queue empty throughout, each session's arrivals delivered at
         delay 0 (dust-sized arrivals deliver nothing).
 
-        Equivalent to ``record`` once per row with those outcomes; the
-        per-session delay-0 bins accumulate in slot order, matching the
-        scalar fold bit-for-bit.
+        Equivalent to ``record`` once per row of the ``(n, k)`` array
+        ``rows`` with those outcomes; the per-session delay-0 bins fold in
+        slot order (:func:`fold_sum`), matching the scalar fold
+        bit-for-bit.  The per-slot columns are deferred and spliced in at
+        :meth:`finalize`, so this call appends no per-row lists.
         """
-        histograms = self._histograms
-        for row in rows:
-            self._arrivals.append(list(row))
-            self._regular.append(list(regular))
-            self._overflow.append(list(overflow))
-            delivered_row = []
-            for i, bits in enumerate(row):
-                if bits > EPSILON_BITS:
-                    delivered_row.append(bits)
-                    histogram = histograms[i]
-                    histogram[0] = histogram.get(0, 0.0) + bits
-                else:
-                    delivered_row.append(0.0)
-            self._delivered.append(delivered_row)
-            self._backlog.append([0.0] * self.k)
-            self._extra.append(extra_allocation)
-            self._requested.append(requested_total)
-            self._dropped.append(0.0)
+        self._blocks.append(
+            (len(self._arrivals), rows, regular, overflow, extra_allocation,
+             requested_total)
+        )
+        delivered = keepup_delivered(rows)
+        served = (delivered > 0.0).any(axis=0)
+        if served.any():
+            histograms = self._histograms
+            start = [histogram.get(0, 0.0) for histogram in histograms]
+            bins = fold_sum(start, delivered).tolist()
+            for i in np.flatnonzero(served).tolist():
+                histograms[i][0] = bins[i]
+
+    def _columns(self) -> list[np.ndarray]:
+        """Materialize the eight per-slot columns, splicing deferred
+        keep-up blocks between the scalar slots in commit order."""
+        shape = (len(self._arrivals), self.k)
+        scalar = [
+            np.asarray(values, dtype=float).reshape(shape)
+            for values in (
+                self._arrivals,
+                self._regular,
+                self._overflow,
+                self._delivered,
+                self._backlog,
+            )
+        ] + [
+            np.asarray(values, dtype=float)
+            for values in (self._extra, self._requested, self._dropped)
+        ]
+        blocks = []
+        for pos, rows, regular, overflow, extra, requested in self._blocks:
+            n = len(rows)
+            blocks.append(
+                (pos, [
+                    rows,
+                    np.broadcast_to(np.asarray(regular, dtype=float), rows.shape),
+                    np.broadcast_to(np.asarray(overflow, dtype=float), rows.shape),
+                    keepup_delivered(rows),
+                    np.zeros(rows.shape),
+                    np.full(n, extra),
+                    np.full(n, requested),
+                    np.zeros(n),
+                ])
+            )
+        return _splice(scalar, blocks)
 
     def finalize(
         self,
@@ -427,20 +491,21 @@ class MultiSessionRecorder:
         resets: list[int],
         horizon: int,
     ) -> MultiSessionTrace:
-        shape = (len(self._arrivals), self.k)
+        (arrivals, regular, overflow, delivered, backlog, extra, requested,
+         dropped) = self._columns()
         return MultiSessionTrace(
-            arrivals=np.asarray(self._arrivals, dtype=float).reshape(shape),
-            regular_allocation=np.asarray(self._regular, dtype=float).reshape(shape),
-            overflow_allocation=np.asarray(self._overflow, dtype=float).reshape(shape),
-            delivered=np.asarray(self._delivered, dtype=float).reshape(shape),
-            backlog=np.asarray(self._backlog, dtype=float).reshape(shape),
-            extra_allocation=np.asarray(self._extra, dtype=float),
+            arrivals=arrivals,
+            regular_allocation=regular,
+            overflow_allocation=overflow,
+            delivered=delivered,
+            backlog=backlog,
+            extra_allocation=extra,
             delay_histograms=self._histograms,
             local_changes=list(local_changes),
             extra_changes=list(extra_changes),
             stage_starts=list(stage_starts),
             resets=list(resets),
             horizon=horizon,
-            requested_total=np.asarray(self._requested, dtype=float),
-            dropped=np.asarray(self._dropped, dtype=float),
+            requested_total=requested,
+            dropped=dropped,
         )

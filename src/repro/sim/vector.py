@@ -28,14 +28,18 @@ delay zero and the queue stays empty.  This module exploits that:
 * :func:`run_batched` — advance many independent sessions over one
   validated ``(n, T)`` arrival matrix, each on the vectorized path.
 * :class:`MultiEngineState` — the incremental multi-session twin: it
-  owns the policy/recorder pair behind ``run_multi_session``, exposes
-  the same ``step(n_slots)`` slicing contract, and
-  bulk-commits quiet in-phase slices for policies registered via
-  :func:`register_multi_vector` (stock: ``PhasedMultiSession`` and the
-  epoch-driven arena allocators).  A capable policy declares its own
-  event boundaries through the ``quiet_slots_until_boundary`` /
-  ``queues_exactly_empty`` hooks, so new policy families opt in by
-  registration instead of engine special-casing.
+  owns the policy/recorder pair behind ``run_multi_session`` and exposes
+  the same ``step(n_slots)`` slicing contract.  For
+  :func:`multi_vector_capable` policies (stock: ``PhasedMultiSession``,
+  ``ContinuousMultiSession`` and the epoch-driven arena allocators) it
+  bulk-commits *keep-up spans*: every queue exactly empty and every
+  session's arrivals at or below its regular allocation, found with one
+  ``(T, k)`` comparison.  On calm traffic most phase ends and epochs
+  change nothing, so a span runs through each due boundary the policy
+  passes as a no-op (``pass_quiet_boundary``) and one commit covers
+  many phases.  A policy opts in by declaring ``bulk_commits = True``
+  on its own class and supplies the hooks that define its boundaries,
+  so new policy families need no engine special-casing.
 
 Exactness of the bulk commit (why a quiet slot can be skipped): with the
 queue exactly empty and ``EPSILON < a <= c``, ``BitQueue.push`` enqueues
@@ -56,12 +60,9 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro.core.baselines import StaticAllocator
-from repro.core.maxminfair import MaxMinFairAllocator
-from repro.core.phased import PhasedMultiSession
-from repro.core.prioritytier import PriorityTierAllocator
 from repro.core.single_session import SingleSessionOnline
 from repro.errors import ConfigError, SimulationError
-from repro.network.queue import EPSILON, BitQueue
+from repro.network.queue import BitQueue
 from repro.obs.runtime import get_telemetry
 from repro.sim.invariants import Monitor, MultiSlotView, SingleSlotView
 from repro.sim.recorder import (
@@ -69,6 +70,8 @@ from repro.sim.recorder import (
     MultiSessionTrace,
     SingleSessionRecorder,
     SingleSessionTrace,
+    fold_sum,
+    keepup_delivered,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -82,6 +85,9 @@ CHUNK = 16384
 #: Bulk takes below this many slots don't pay for the numpy call overhead
 #: of the attempt; they trigger the scalar-step cooldown.
 _SMALL_TAKE = 64
+#: First window of a multi-session keep-up scan; each fully quiet window
+#: doubles the next (up to ``CHUNK``), so a scan costs O(slots taken).
+_SCAN_MIN = 64
 #: Cooldown bounds (slots stepped scalar before the next bulk attempt).
 _PENALTY_MIN = 16
 _PENALTY_MAX = 2048
@@ -112,51 +118,41 @@ def vector_capable(policy) -> bool:
     return type(policy) is StaticAllocator
 
 
-#: Multi-session policy types whose quiet slices may be bulk-committed.
-#: Populated via :func:`register_multi_vector`; matched by exact type
-#: (subclasses may override decision machinery the bulk commit cannot
-#: see, so they stay scalar until registered themselves).
-_MULTI_VECTOR_TYPES: set[type] = set()
-
-
-def register_multi_vector(cls: type) -> type:
-    """Register a multi-session policy type for the vectorized bulk path.
-
-    The type must honour the quiet-slice contract: between the boundaries
-    it reports, ``step`` runs no decision logic and touches no link, so a
-    slot with every queue exactly empty and per-session arrivals at or
-    below the constant regular allocation delivers its own arrivals at
-    delay 0 and leaves the queues exactly empty.  Required hooks:
-
-    * ``quiet_slots_until_boundary(t)`` — slots from ``t`` guaranteed
-      free of policy events (0 = step scalar now);
-    * ``queues_exactly_empty()`` — every queue holds exactly 0.0 bits.
-
-    Usable as a class decorator; returns ``cls``.
-    """
-    for hook in ("quiet_slots_until_boundary", "queues_exactly_empty"):
-        if not callable(getattr(cls, hook, None)):
-            raise ConfigError(
-                f"{cls.__name__} cannot register for the vectorized path: "
-                f"missing the {hook}() hook"
-            )
-    _MULTI_VECTOR_TYPES.add(cls)
-    return cls
-
-
 def multi_vector_capable(policy) -> bool:
     """True when the multi-session bulk fast-forward applies to ``policy``.
 
-    Requires a :func:`register_multi_vector`-registered exact type and no
-    extra (global-overflow) channel — the bulk commit records the extra
-    allocation as 0.
+    Requires ``bulk_commits = True`` declared in the body of the policy's
+    exact class — read through ``vars(type(policy))``, so subclasses,
+    which may override decision machinery the bulk commit cannot see,
+    stay scalar until they declare it themselves — and no extra
+    (global-overflow) channel, since the bulk commit records the extra
+    allocation as 0.  :class:`~repro.core.allocator.MultiSessionPolicy`
+    states the contract and the hooks such a class provides:
+
+    * ``quiet_slots_until_boundary(t)`` — slots from ``t`` guaranteed
+      free of policy events (0 = step scalar now);
+    * ``pass_quiet_boundary(t, arrived)`` — run a due boundary inside a
+      keep-up span when it provably changes no link (True), else leave
+      no trace (False) so the scalar step runs it;
+    * ``queues_exactly_empty()`` — every queue holds exactly 0.0 bits.
     """
-    return type(policy) in _MULTI_VECTOR_TYPES and policy.extra_link is None
+    return bool(vars(type(policy)).get("bulk_commits", False)) and (
+        policy.extra_link is None
+    )
 
 
-register_multi_vector(PhasedMultiSession)
-register_multi_vector(MaxMinFairAllocator)
-register_multi_vector(PriorityTierAllocator)
+def _backoff(taken: int, penalty: int, small: int) -> tuple[int, int]:
+    """``(cooldown, penalty)`` after a bulk attempt that took ``taken`` slots.
+
+    A take of at least ``small`` slots paid for its attempt: no cooldown,
+    and the penalty resets.  A smaller one starts a cooldown of
+    ``penalty`` scalar slots and doubles the next penalty (capped), so on
+    streams without quiet stretches the attempts stop costing more than
+    the slots they save.
+    """
+    if taken >= small:
+        return 0, _PENALTY_MIN
+    return penalty, min(2 * penalty, _PENALTY_MAX)
 
 
 def _active_plan(faults: "FaultPlan | None") -> "FaultPlan | None":
@@ -449,11 +445,9 @@ class EngineState:
                         and not queue._chunks
                     ):
                         taken = self._bulk(t, min(n_slots - processed, CHUNK))
-                        if taken >= _SMALL_TAKE:
-                            self._penalty = _PENALTY_MIN
-                        else:
-                            cooldown = self._penalty
-                            self._penalty = min(self._penalty * 2, _PENALTY_MAX)
+                        cooldown, self._penalty = _backoff(
+                            taken, self._penalty, _SMALL_TAKE
+                        )
                         if taken:
                             t += taken
                             processed += taken
@@ -570,8 +564,9 @@ class EngineState:
         else:
             taken = limit
         committed = chunk[:taken]
-        delivered = np.where(committed > EPSILON, committed, 0.0)
-        self.recorder.record_keepup_block(committed, allocation, delivered)
+        self.recorder.record_keepup_block(
+            committed, allocation, keepup_delivered(committed)
+        )
         return taken
 
     def run(self) -> None:
@@ -609,8 +604,8 @@ class MultiEngineState:
         faults: a :class:`~repro.faults.plan.FaultPlan`; each slot sets
             every session's ``channels.capacity_factor`` (restored to 1.0
             when :meth:`step` exits) and applies ingress drops.
-        vector: force (``True``) / suppress (``False``) the quiet bulk
-            fast-forward; ``None`` auto-selects it for
+        vector: force (``True``) / suppress (``False``) the keep-up
+            bulk commits; ``None`` auto-selects them for
             :func:`multi_vector_capable` policies with no faults or
             monitors.
     """
@@ -637,6 +632,7 @@ class MultiEngineState:
         self.horizon = horizon
         self.recorder = MultiSessionRecorder(k)
         self.drain = bool(drain)
+        self._array = array
         self._rows: list[list[float]] = array.tolist()
         self._zero = [0.0] * k
         cap = max_drain_slots if max_drain_slots is not None else 4 * horizon + 1000
@@ -644,13 +640,18 @@ class MultiEngineState:
         self._limit = horizon + cap
         self.t = 0
 
+        # Scalar-step cooldown after failed bulk attempts, as in
+        # EngineState: on bursty streams the attempts stop costing a
+        # queue check per slot.
+        self._cooldown = 0
+        self._penalty = _PENALTY_MIN
         self._vector = _resolve_vector(
             vector,
             multi_vector_capable(policy),
             self._plan is not None or bool(self._monitors),
             "vector=True requires a vector-capable multi-session policy "
-            "(a register_multi_vector-ed type with no extra channel), got "
-            f"{type(policy).__name__}",
+            "(an exact class declaring bulk_commits = True, with no extra "
+            f"channel), got {type(policy).__name__}",
         )
 
     @property
@@ -680,17 +681,29 @@ class MultiEngineState:
         policy_step = policy.step
         record = recorder.record
         isfinite = math.isfinite
+        quiet_slots = policy.quiet_slots_until_boundary
         processed = 0
         t = self.t
+        cooldown = self._cooldown
         try:
             while processed < n_slots:
                 if t < horizon:
-                    if self._vector:
-                        taken = self._bulk(t, n_slots - processed)
-                        if taken:
-                            t += taken
-                            processed += taken
-                            continue
+                    if cooldown:
+                        cooldown -= 1
+                    elif self._vector:
+                        # A due boundary is not a failed attempt: the
+                        # scalar step runs it and the next slot retries.
+                        quiet = quiet_slots(t)
+                        if quiet:
+                            taken = self._bulk(t, quiet, n_slots - processed)
+                            # Any take beats k queue serves per slot.
+                            cooldown, self._penalty = _backoff(
+                                taken, self._penalty, 1
+                            )
+                            if taken:
+                                t += taken
+                                processed += taken
+                                continue
                     offered = rows[t]
                 elif self.drain and policy.total_backlog > 0:
                     if t >= self._limit:
@@ -754,6 +767,7 @@ class MultiEngineState:
                 processed += 1
         finally:
             self.t = t
+            self._cooldown = cooldown
             # A mid-run SimulationError must not leak degraded capacity
             # into the sessions' next run.
             if plan is not None:
@@ -771,56 +785,73 @@ class MultiEngineState:
                 )
         return processed
 
-    def _bulk(self, t: int, budget: int) -> int:
-        """Bulk-commit quiet slots from ``t`` (at most ``budget``).
+    def _bulk(self, t: int, quiet: int, budget: int) -> int:
+        """Bulk-commit the keep-up span from ``t`` (at most ``budget`` slots).
 
-        Quiet requires: the policy has started, no event boundary falls
-        inside the slice, every queue is exactly empty, and each session's
-        arrivals stay at or below its (constant within the slice) regular
-        allocation — then each slot delivers its own arrivals at delay 0,
-        leaves the queues exactly empty, and touches no link, so per-slot
-        outputs are pure functions of the arrival rows.  Returns 0 when
-        the next slot needs the scalar step (boundary due, backlog, or
-        overload).
+        Keep-up: every queue exactly empty and each session's arrivals at
+        or below its regular allocation — then each slot delivers its own
+        arrivals at delay 0, leaves the queues exactly empty, and touches
+        no link, so per-slot outputs are pure functions of the arrival
+        rows.  The span runs through every due boundary the policy can
+        pass as a no-op (:meth:`pass_quiet_boundary`) and stops at the
+        first overloaded row, at a boundary that changes a link, or at a
+        boundary the policy cannot vouch for.  Returns 0 when the next
+        slot needs the scalar step (backlog, or the slot overloads).
+        ``quiet`` (> 0) is the policy's ``quiet_slots_until_boundary(t)``.
         """
         policy = self.policy
-        quiet = policy.quiet_slots_until_boundary(t)
-        if quiet == 0 or not policy.queues_exactly_empty():
+        if not policy.queues_exactly_empty():
             return 0
-        rows = self._rows
         sessions = policy.sessions
-        stop = min(t + quiet, self.horizon, t + budget)
         regular = [s.channels.regular_link.bandwidth for s in sessions]
-        overflow = [s.channels.overflow_link.bandwidth for s in sessions]
-        k = len(regular)
+        for bits, bandwidth in zip(self._rows[t], regular):
+            if bits > bandwidth:
+                # Cheap scalar pre-check: the very next slot overloads.
+                return 0
+        limit = np.asarray(regular)
+        array = self._array
+        stop = min(self.horizon, t + budget)
+        boundary = t + quiet
+        arrived = np.asarray([s.bits_arrived for s in sessions])
         end = t
+        window = _SCAN_MIN
         while end < stop:
-            row = rows[end]
-            ok = True
-            for i in range(k):
-                if row[i] > regular[i]:
-                    ok = False
+            segment = array[end : min(stop, end + window)]
+            over = np.flatnonzero((segment > limit).any(axis=1))
+            keep = int(over[0]) if over.size else len(segment)
+            stopped = bool(over.size)
+            # cumulative[j]: each session's bits_arrived at slot end + j.
+            cumulative = np.add.accumulate(
+                np.concatenate((arrived[None], segment[:keep])), axis=0
+            )
+            while boundary < end + keep:
+                if not policy.pass_quiet_boundary(
+                    boundary, cumulative[boundary - end].tolist()
+                ):
+                    keep = boundary - end
+                    stopped = True
                     break
-            if not ok:
+                boundary += policy.quiet_slots_until_boundary(boundary)
+            arrived = cumulative[keep]
+            end += keep
+            if stopped:
                 break
-            end += 1
-        if end == t:
-            return 0
-        block = rows[t:end]
+            window = min(2 * window, CHUNK)
+        block = array[t:end]
+        overflow = [s.channels.overflow_link.bandwidth for s in sessions]
         # Matches the recorder's own fold for requested_total=None rows.
         requested_total = sum(regular) + sum(overflow) + 0.0
-        self.recorder.record_keepup_block(block, regular, overflow, 0.0, requested_total)
-        for i, session in enumerate(sessions):
-            arrived = session.bits_arrived
-            delivered = session.bits_delivered
-            for row in block:
-                bits = row[i]
-                if bits > 0:
-                    arrived += bits
-                    if bits > EPSILON:
-                        delivered += bits
-            session.bits_arrived = arrived
-            session.bits_delivered = delivered
+        self.recorder.record_keepup_block(
+            block, regular, overflow, 0.0, requested_total
+        )
+        delivered = fold_sum(
+            [s.bits_delivered for s in sessions], keepup_delivered(block)
+        )
+        for session, bits_in, bits_out in zip(
+            sessions, arrived.tolist(), delivered.tolist()
+        ):
+            session.bits_arrived = bits_in
+            session.bits_delivered = bits_out
         return end - t
 
     def run(self) -> None:

@@ -71,6 +71,24 @@ class TestHistogram:
         histogram.observe(0.5)
         assert list(histogram.as_dict()["buckets"]) == ["0.5", "128"]
 
+    def test_snapshot_round_trip_keeps_exact_bounds(self):
+        """Bucket keys parse back to their bounds: a merged snapshot
+        re-creates 2**21 (not 2097150.0) and sub-2**-14 bounds exactly."""
+        source = MetricsRegistry()
+        histogram = source.histogram("h")
+        for value in (2.0**21, 2.0**21, 3.0 * 2**40, 2.0**-20, 100.0, 0.0):
+            histogram.observe(value)
+        target = MetricsRegistry()
+        target.merge_snapshot(source.snapshot())
+        assert target.histogram("h").buckets == histogram.buckets
+        # A second merge adds into the same buckets instead of creating
+        # near-duplicates that render under one key and lose a count.
+        target.merge_snapshot(source.snapshot())
+        assert target.histogram("h").buckets == {
+            bound: 2 * hits for bound, hits in histogram.buckets.items()
+        }
+        assert sum(target.histogram("h").as_dict()["buckets"].values()) == 12
+
     def test_values_just_above_a_power_of_two_bucket_above_it(self):
         """The bucket is the smallest power of two that is *at least* v,
         also a few ulps above 2**k, where a rounded log2 lands on 2**k."""

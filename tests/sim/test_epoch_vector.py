@@ -1,11 +1,11 @@
 """Epoch allocators through the engine: bit-identity.
 
-MaxMinFairAllocator and PriorityTierAllocator are registered for the
-vectorized fast-forward, so the bulk-commit path (``vector=True``) and the
-scalar step (``vector=False``) must produce byte-identical traces — and
-slicing the run into arbitrary ``step(n_slots)`` chunks must be invisible
-too.  Fixed seeds cover smooth, bursty, overloaded, and dust-tailed
-streams.
+MaxMinFairAllocator and PriorityTierAllocator declare ``bulk_commits``,
+so the bulk-commit path (``vector=True``) and the scalar step
+(``vector=False``) must produce byte-identical traces — and slicing the
+run into arbitrary ``step(n_slots)`` chunks must be invisible too.  Fixed
+seeds cover smooth, bursty, overloaded, and dust-tailed streams; keep-up
+spans run through epochs that move no link and stop at one that does.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.epoch import EpochDrivenMultiSession
 from repro.core.maxminfair import MaxMinFairAllocator
 from repro.core.prioritytier import PriorityTierAllocator
 from repro.sim.engine import run_multi_session
@@ -118,3 +119,82 @@ class TestEpochStepChunking:
         while not state.done:
             state.step(int(rng.integers(1, 17)))
         _assert_multi_identical(state.finalize(), reference.finalize())
+
+
+class TestEpochSpanning:
+    @pytest.mark.parametrize("factory", FACTORIES)
+    def test_span_stops_at_epoch_that_moves(self, factory, monkeypatch):
+        """Epochs on a constant stretch pass inside one span; the epoch
+        after a rate change re-allocates and is left to the scalar step."""
+        arrivals = np.concatenate((np.full((40, 3), 1.0), np.full((40, 3), 0.2)))
+        verdicts = []
+        passes = EpochDrivenMultiSession.pass_quiet_boundary
+
+        def spy(self, t, arrived):
+            verdicts.append((t, passes(self, t, arrived)))
+            return verdicts[-1][1]
+
+        monkeypatch.setattr(EpochDrivenMultiSession, "pass_quiet_boundary", spy)
+        policies = [factory(), factory()]
+        vector = run_multi_session(policies[0], arrivals, vector=True)
+        scalar = run_multi_session(policies[1], arrivals, vector=False)
+        _assert_multi_identical(vector, scalar)
+        assert policies[0].epoch_boundaries == policies[1].epoch_boundaries
+        refused = [t for t, ok in verdicts if not ok]
+        assert refused and sum(ok for _, ok in verdicts) >= 10
+        moved = {change.t for _, _, change in vector.local_changes}
+        assert set(refused) <= moved
+        assert 44 in refused
+
+    @pytest.mark.parametrize("factory", FACTORIES)
+    def test_refused_epoch_restores_the_demand_mark(self, factory):
+        policy = factory()
+        policy.step(0, [1.0, 1.0, 1.0])
+        mark = list(policy._arrived_mark)
+        boundary = policy.next_boundary
+        assert not policy.pass_quiet_boundary(boundary, [40.0, 1.0, 1.0])
+        assert policy._arrived_mark == mark
+        assert policy.epoch_boundaries == []
+        assert policy.next_boundary == boundary
+
+    @pytest.mark.parametrize("factory", FACTORIES)
+    @given(seed=seeds)
+    @_SETTINGS
+    def test_random_slicing_across_spanned_epochs(self, factory, seed):
+        rng = np.random.default_rng(seed)
+        levels = rng.uniform(0.0, 3.0, size=(4, 3))
+        arrivals = np.repeat(levels, 30, axis=0)
+        reference = MultiEngineState(factory(), arrivals, vector=False)
+        reference.run()
+        state = MultiEngineState(factory(), arrivals, vector=True)
+        while not state.done:
+            state.step(int(rng.integers(1, 23)))
+        _assert_multi_identical(state.finalize(), reference.finalize())
+        assert state.policy.epoch_boundaries == reference.policy.epoch_boundaries
+
+    @given(
+        seed=seeds,
+        k=st.integers(min_value=1, max_value=6),
+        period=st.integers(min_value=1, max_value=9),
+        rate=st.floats(min_value=0.05, max_value=2.0),
+        tiered=st.booleans(),
+    )
+    @_SETTINGS
+    def test_fuzz_k_period_rates(self, seed, k, period, rate, tiered):
+        rng = np.random.default_rng(seed)
+        slots = int(rng.integers(1, 120))
+        levels = np.repeat(
+            rng.uniform(0.0, 12.0 * rate / k, size=(-(-slots // 20), k)), 20, axis=0
+        )[:slots]
+        arrivals = np.where(rng.random((slots, k)) < 0.05, 4.0 * levels, levels)
+
+        def factory():
+            if tiered:
+                return PriorityTierAllocator(k, capacity=12.0, period=period)
+            return MaxMinFairAllocator(k, capacity=12.0, period=period)
+
+        policies = [factory(), factory()]
+        vector = run_multi_session(policies[0], arrivals, vector=True)
+        scalar = run_multi_session(policies[1], arrivals, vector=False)
+        _assert_multi_identical(vector, scalar)
+        assert policies[0].epoch_boundaries == policies[1].epoch_boundaries

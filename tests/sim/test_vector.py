@@ -12,17 +12,27 @@ driven by ``REPRO_FUZZ_EXAMPLES``), plus the gating semantics of the
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.baselines import StaticAllocator
+from repro.core.combined import CombinedMultiSession
+from repro.core.continuous import ContinuousMultiSession
 from repro.core.phased import PhasedMultiSession
 from repro.core.single_session import SingleSessionOnline
 from repro.core.variants import EagerResetSingleSession
 from repro.errors import ConfigError
 from repro.network.queue import EPSILON
+from repro.obs.runtime import telemetry_session
 from repro.sim.engine import run_multi_session, run_single_session
 from repro.sim.invariants import DelayMonitor
-from repro.sim.vector import run_batched, vector_capable
-from tests.strategies import FUZZ_EXAMPLES, arrival_streams
+from repro.sim.recorder import MultiSessionRecorder
+from repro.sim.vector import (
+    MultiEngineState,
+    multi_vector_capable,
+    run_batched,
+    vector_capable,
+)
+from tests.strategies import FUZZ_EXAMPLES, arrival_streams, seeds
 
 _SETTINGS = settings(max_examples=FUZZ_EXAMPLES, deadline=None)
 
@@ -196,6 +206,233 @@ class TestMultiVector:
         policy = EqualSplitMultiSession(2, offline_bandwidth=8.0)
         with pytest.raises(ConfigError, match="vector-capable"):
             run_multi_session(policy, np.ones((10, 2)), vector=True)
+
+
+def _assert_multi_traces_identical(first, second):
+    for name in (
+        "arrivals", "regular_allocation", "overflow_allocation", "delivered",
+        "backlog", "extra_allocation", "requested_total", "dropped",
+    ):
+        np.testing.assert_array_equal(getattr(first, name), getattr(second, name))
+    assert first.delay_histograms == second.delay_histograms
+    assert first.local_changes == second.local_changes
+    assert first.extra_changes == second.extra_changes
+    assert first.stage_starts == second.stage_starts
+    assert first.resets == second.resets
+    assert first.horizon == second.horizon
+
+
+def _multi_two_way(factory, arrivals):
+    """Vector and scalar runs of fresh ``factory()`` policies: identical."""
+    vector_policy, scalar_policy = factory(), factory()
+    vector = run_multi_session(vector_policy, arrivals, vector=True)
+    scalar = run_multi_session(scalar_policy, arrivals, vector=False)
+    _assert_multi_traces_identical(vector, scalar)
+    return vector, vector_policy, scalar_policy
+
+
+def _phased(k=4, offline_delay=4):
+    return PhasedMultiSession(k, offline_bandwidth=4.0 * k, offline_delay=offline_delay)
+
+
+def _continuous(k=4, offline_delay=4):
+    return ContinuousMultiSession(
+        k, offline_bandwidth=4.0 * k, offline_delay=offline_delay
+    )
+
+
+def _multi_streams(seed, k=4, slots=1200):
+    """Calm, bursty, dust-tailed and REDUCE-heavy inputs for B_O/k = 4."""
+    rng = np.random.default_rng(seed)
+    calm = np.repeat(rng.uniform(0.5, 3.5, size=(6, k)), slots // 6, axis=0)
+    bursty = rng.poisson(2.5, size=(slots, k)).astype(float)
+    dust = calm.copy()
+    dust[::3] = EPSILON / 2
+    dust[::7, 0] = EPSILON
+    dust[::11] = 0.0
+    # Isolated bursts above B_r * D_O trip TEST (continuous) or overflow a
+    # phase (phased) and leave REDUCE timers and overflow links behind,
+    # separated by calm stretches the spans must re-enter.
+    spiky = calm.copy()
+    spikes = rng.random(slots) < 0.03
+    spiky[spikes, rng.integers(0, k, spikes.sum())] = rng.uniform(
+        20.0, 40.0, spikes.sum()
+    )
+    return {"calm": calm, "bursty": bursty, "dust": dust, "reduce-heavy": spiky}
+
+
+class TestMultiCapability:
+    def test_stock_capable_policies(self):
+        assert multi_vector_capable(_phased())
+        assert multi_vector_capable(_continuous())
+
+    def test_subclasses_and_combined_stay_scalar(self):
+        class Subclass(ContinuousMultiSession):
+            pass
+
+        assert not multi_vector_capable(Subclass(2, 8.0, 4))
+        combined = CombinedMultiSession(2, 8.0, 4, 0.25, 8)
+        assert not multi_vector_capable(combined)
+        with pytest.raises(ConfigError, match="vector-capable"):
+            run_multi_session(combined, np.ones((10, 2)), vector=True)
+
+
+class TestContinuousVector:
+    @pytest.mark.parametrize("shape", ["calm", "bursty", "dust", "reduce-heavy"])
+    def test_two_way_identity(self, shape):
+        arrivals = _multi_streams(41)[shape]
+        trace, vector_policy, scalar_policy = _multi_two_way(_continuous, arrivals)
+        assert trace.slots >= len(arrivals)
+        assert vector_policy.pending_reductions == scalar_policy.pending_reductions
+
+    def test_reduce_heavy_stream_changes_links(self):
+        trace, _, _ = _multi_two_way(_continuous, _multi_streams(43)["reduce-heavy"])
+        kinds = {kind for _, kind, _ in trace.local_changes}
+        assert kinds == {"regular", "overflow"}
+
+    def test_fifo_service(self):
+        def factory():
+            return ContinuousMultiSession(3, 12.0, 4, fifo=True)
+
+        _multi_two_way(factory, _multi_streams(47, k=3)["reduce-heavy"])
+
+
+class TestPhaseSpanning:
+    @pytest.mark.parametrize("cls", [PhasedMultiSession, ContinuousMultiSession])
+    def test_span_engages_on_calm_stream(self, monkeypatch, cls):
+        """One bulk commit per input segment (at most), not one per phase."""
+        k, slots, segment = 8, 4_500, 1_000
+        rng = np.random.default_rng(59)
+        arrivals = np.repeat(rng.uniform(0.5, 4.0, size=(-(-slots // segment), k)),
+                             segment, axis=0)[:slots]
+        blocks, scalar_slots = [], []
+        keepup, record = (
+            MultiSessionRecorder.record_keepup_block, MultiSessionRecorder.record
+        )
+        monkeypatch.setattr(
+            MultiSessionRecorder, "record_keepup_block",
+            lambda self, rows, *a: (blocks.append(len(rows)), keepup(self, rows, *a)),
+        )
+        monkeypatch.setattr(
+            MultiSessionRecorder, "record",
+            lambda self, *a, **kw: (scalar_slots.append(1), record(self, *a, **kw)),
+        )
+        policy = cls(k, offline_bandwidth=64.0, offline_delay=8)
+        trace = run_multi_session(policy, arrivals)
+        assert sum(blocks) + len(scalar_slots) == trace.slots
+        assert len(blocks) <= -(-slots // segment) + len(scalar_slots)
+        assert len(scalar_slots) < 10
+        if cls is PhasedMultiSession:
+            assert len(policy.phase_boundaries) > 500
+
+    @pytest.mark.parametrize("factory", [_phased, _continuous])
+    def test_phase_and_counter_identity(self, factory):
+        arrivals = _multi_streams(61)["reduce-heavy"]
+        counters = []
+        policies = []
+        for vector in (True, False):
+            policy = factory()
+            with telemetry_session() as tele:
+                trace = run_multi_session(policy, arrivals, vector=vector)
+            counters.append(
+                {
+                    name: value
+                    for name, value in tele.registry.snapshot()["counters"].items()
+                    if name.startswith("core.")
+                }
+            )
+            policies.append((policy, trace))
+        assert counters[0] == counters[1]
+        _assert_multi_traces_identical(policies[0][1], policies[1][1])
+        if factory is _phased:
+            assert counters[0]["core.phased.phase_ends"] == len(
+                policies[0][0].phase_boundaries
+            )
+            assert policies[0][0].phase_boundaries == policies[1][0].phase_boundaries
+
+    def test_span_stops_at_phase_end_with_live_overflow(self, monkeypatch):
+        """A phase end that must zero a non-zero overflow link is not
+        spanned: the scalar step runs it and records the change.
+
+        FIFO service drains the overflow queue early (it gets the whole
+        session bandwidth), so a keep-up span starts mid-phase and meets
+        the phase end while the overflow link is still up.  The long phase
+        leaves room for the engine's retry cooldown after the burst.
+        """
+        k, delay = 2, 64
+        arrivals = np.full((300, k), 1.0)
+        arrivals[120, 0] = 400.0  # overflows session 0's phase ending at 128
+        verdicts = []
+        passes = PhasedMultiSession.pass_quiet_boundary
+
+        def spy(self, t, arrived):
+            verdicts.append((t, passes(self, t, arrived)))
+            return verdicts[-1][1]
+
+        monkeypatch.setattr(PhasedMultiSession, "pass_quiet_boundary", spy)
+        trace, policy, _ = _multi_two_way(
+            lambda: PhasedMultiSession(k, 4.0 * k, delay, fifo=True), arrivals
+        )
+        zeroed = [
+            change.t for i, kind, change in trace.local_changes
+            if kind == "overflow" and change.new == 0.0
+        ]
+        assert zeroed == [192]
+        assert (192, False) in verdicts
+        assert (64, True) in verdicts and (256, True) in verdicts
+        assert policy.phase_boundaries == list(range(delay, trace.slots, delay))
+
+    def test_pass_quiet_boundary_refuses_live_overflow(self):
+        policy = _phased(2, 4)
+        policy.step(0, [1.0, 1.0])
+        policy.sessions[1].channels.overflow_link.set(0, 0.5)
+        boundary = policy.next_boundary
+        assert not policy.pass_quiet_boundary(boundary, [1.0, 1.0])
+        assert policy.phase_boundaries == []
+        assert policy.next_boundary == boundary
+        policy.sessions[1].channels.overflow_link.set(1, 0.0)
+        assert policy.pass_quiet_boundary(boundary, [1.0, 1.0])
+        assert policy.phase_boundaries == [boundary]
+        assert policy.next_boundary == boundary + 4
+
+    @pytest.mark.parametrize("factory", [_phased, _continuous])
+    @given(seed=seeds)
+    @_SETTINGS
+    def test_random_slicing_across_spans(self, factory, seed):
+        rng = np.random.default_rng(seed)
+        arrivals = _multi_streams(seed % 1000, slots=240)[
+            ["calm", "dust", "reduce-heavy"][seed % 3]
+        ]
+        reference = MultiEngineState(factory(), arrivals, vector=False)
+        reference.run()
+        state = MultiEngineState(factory(), arrivals, vector=True)
+        while not state.done:
+            state.step(int(rng.integers(1, 40)))
+        _assert_multi_traces_identical(state.finalize(), reference.finalize())
+        if factory is _phased:
+            assert state.policy.phase_boundaries == reference.policy.phase_boundaries
+
+    @given(
+        seed=seeds,
+        k=st.integers(min_value=1, max_value=6),
+        offline_delay=st.integers(min_value=1, max_value=9),
+        rate=st.floats(min_value=0.1, max_value=1.5),
+        continuous=st.booleans(),
+    )
+    @_SETTINGS
+    def test_fuzz_k_delay_rates(self, seed, k, offline_delay, rate, continuous):
+        """Rates are drawn relative to the initial quantum B_O/k = 4, so
+        both keep-up spans and overflowing bursts occur."""
+        rng = np.random.default_rng(seed)
+        slots = int(rng.integers(1, 160))
+        levels = rng.uniform(0.0, 4.0 * rate, size=(slots, k))
+        arrivals = np.where(rng.random((slots, k)) < 0.05, 8.0 * levels, levels)
+        cls = ContinuousMultiSession if continuous else PhasedMultiSession
+        _, vector_policy, scalar_policy = _multi_two_way(
+            lambda: cls(k, 4.0 * k, offline_delay), arrivals
+        )
+        if not continuous:
+            assert vector_policy.phase_boundaries == scalar_policy.phase_boundaries
 
 
 class TestBatched:
